@@ -280,10 +280,10 @@ def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
 def report_cmd(corpus_dir, top_n, wordnet_dir):
     """Print the corpus term-frequency table (TSV: term, count)."""
     try:
-        lemmatizer = None
+        pipeline = None
         if wordnet_dir is not None:
-            lemmatizer = make_lemmatizer(_load_wordnet_or_usage(wordnet_dir))
-        pipeline = Pipeline(lemmatizer=lemmatizer)
+            pipeline = Pipeline(lemmatizer=make_lemmatizer(
+                _load_wordnet_or_usage(wordnet_dir)))
         corp = load_corpus(corpus_dir)
         rep = frequency_report(corp, top_n, pipeline)
         click.echo(rep.to_tsv(), nl=False)

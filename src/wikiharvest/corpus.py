@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from . import __version__
 from .errors import WikiHarvestError
 from .keywords import Keyword
-from .preprocess import NUM, PUNCT, Pipeline
+from .preprocess import NUM, PUNCT, Pipeline, default_pipeline
 
 
 class CorpusError(WikiHarvestError):
@@ -103,8 +103,9 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
     """Write article texts and a manifest under `out_dir`.
 
     `articles_with_text` yields (page_id, title, text) triples.  The
-    manifest is written atomically (temp file, then rename) as the final
-    step, so a half-written directory never carries a valid manifest.
+    manifest is written atomically (temp file, then rename), so a
+    half-written directory never carries a valid manifest; article files
+    it does not list, left by an earlier run, are then removed.
     """
     out = Path(out_dir)
     articles_dir = out / ARTICLES_DIR
@@ -145,6 +146,10 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+    listed = {entry["relative_path"] for entry in entries}
+    for path in articles_dir.iterdir():
+        if f"{ARTICLES_DIR}/{path.name}" not in listed and path.is_file():
+            path.unlink()
     return manifest
 
 
@@ -210,18 +215,13 @@ def frequency_report(corpus: Corpus, top_n: int | None = None,
     Stopwords, punctuation, numbers and single-character terms are
     dropped; the rest are counted by lemma.
     """
-    pipeline = pipeline or Pipeline()
+    pipeline = pipeline or default_pipeline()
     counts: Counter[str] = Counter()
     for text in corpus.texts():
-        doc = pipeline.preprocess(text)
-        for sentence in doc.sentences:
-            for tok in sentence.tokens:
-                if tok.is_stopword or tok.pos in (PUNCT, NUM):
-                    continue
-                term = tok.lemma
-                if len(term) <= 1 or term.isdigit():
-                    continue
-                counts[term] += 1
+        counts.update(
+            lemma for pos, lemma, is_stopword in pipeline.tagged_lemmas(text)
+            if not is_stopword and pos not in (PUNCT, NUM)
+            and len(lemma) > 1 and not lemma.isdigit())
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     if top_n is not None:
         ordered = ordered[:top_n]

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .lexicon import WordnetLexicon, contains_lemma, make_lemmatizer
-from .preprocess import Pipeline, PreprocessedDoc
+from .lexicon import WordnetLexicon, contains_lemma
+from .preprocess import PreprocessedDoc
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class Keyword:
 @dataclass(frozen=True)
 class KeywordConfig:
     top_k: int = 50
-    background_docs: tuple[str, ...] = ()
     wordnet_filter: bool = True
 
     def __post_init__(self):
@@ -88,19 +87,12 @@ def extract_keywords(doc: PreprocessedDoc,
                      background_docs: Sequence[PreprocessedDoc] = ()) -> list[Keyword]:
     """Full chain: count NPs, filter generic terms, score, take top-K.
 
-    Backgrounds may arrive preprocessed via `background_docs` or as raw
-    texts in ``config.background_docs``; both feed document frequency only.
+    The preprocessed `background_docs` feed document frequency only.
     """
     counts = count_candidates(doc)
     if config.wordnet_filter and lexicon is not None:
         counts = filter_generic(counts, lexicon)
-    backgrounds = list(background_docs)
-    if config.background_docs:
-        pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon)
-                            if lexicon is not None else None)
-        backgrounds += [pipeline.preprocess(text)
-                        for text in config.background_docs]
-    per_doc = [counts] + [count_candidates(bg) for bg in backgrounds]
+    per_doc = [counts] + [count_candidates(bg) for bg in background_docs]
     return select_top_k(score_tfidf(per_doc, 0), config.top_k)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -165,7 +166,9 @@ def morphy(lexicon: WordnetLexicon, surface: str, pos: str) -> Optional[str]:
 
 
 def make_lemmatizer(lexicon: WordnetLexicon):
-    """Adapter giving the preprocess pipeline a (surface, pos) lemmatizer."""
+    """Adapter giving the preprocess pipeline a (surface, pos) lemmatizer,
+    with `morphy`'s answer cached per ``(surface, pos)``."""
+    @lru_cache(maxsize=None)
     def lemmatizer(surface: str, pos: str) -> Optional[str]:
         return morphy(lexicon, surface, pos)
     return lemmatizer

@@ -1,10 +1,12 @@
 """Shallow NLP pipeline over requirements text.
 
-The pipeline runs six stages in a fixed order: tokenize, sentence split,
-POS tag, lemmatize, stopword mark, noun-phrase chunk.  Everything is
-rule-based and deterministic: a curated most-frequent-tag lexicon with
-suffix fallbacks does the tagging, and noun phrases are maximal matches
-of the grammar ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``.
+The pipeline tokenizes, splits sentences, tags each sentence in one pass
+that gives every token its POS tag, lemma and stopword flag, and chunks
+noun phrases.  `Pipeline.tagged_lemmas` runs the same tagging pass but
+builds no `Token` and chunks nothing.  Everything is rule-based and
+deterministic: a curated most-frequent-tag lexicon with suffix fallbacks
+does the tagging, and noun phrases are maximal matches of the grammar
+``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``.
 
 All functions are pure; a configured :class:`Pipeline` is immutable and
 safe to share between threads.
@@ -17,7 +19,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import WikiHarvestError
 
@@ -143,11 +145,14 @@ def tokenize(text: str, abbreviations: Sequence[str] | None = None) -> list[Toke
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
+    return [Token(*span) for span in _token_spans(text, abbreviations)]
+
+
+def _token_spans(text: str,
+                 abbreviations: Sequence[str]) -> list[tuple[str, int, int]]:
+    """``(surface, start, end)`` of every token; no `Token` is built."""
     rx = _token_regex(tuple(abbreviations))
-    return [
-        Token(surface=m.group(0), start=m.start(), end=m.end())
-        for m in rx.finditer(text)
-    ]
+    return [(m.group(), m.start(), m.end()) for m in rx.finditer(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +162,38 @@ _TERMINATOR_RE = re.compile(r"[.!?]+$")
 _PARAGRAPH_GAP_RE = re.compile(r"\n[ \t\r]*\n")
 
 
-def _is_sentence_break(text: str, prev: Token, nxt: Token,
+def _is_sentence_break(text: str, prev: tuple[str, int, int],
+                       nxt: tuple[str, int, int],
                        abbreviations: frozenset[str]) -> bool:
-    gap = text[prev.end:nxt.start]
+    prev_surface, _, prev_end = prev
+    surface, start, _ = nxt
+    gap = text[prev_end:start]
     if _PARAGRAPH_GAP_RE.search(gap):
         return True
-    if not _TERMINATOR_RE.search(prev.surface):
+    if not _TERMINATOR_RE.search(prev_surface):
         return False
-    if prev.surface in abbreviations:
+    if prev_surface in abbreviations:
         return False
     if not gap or not gap.isspace():
         return False
-    first = nxt.surface[0]
+    first = surface[0]
     return first.isupper() or first.isdigit()
 
 
-def split_sentences(text: str, abbreviations: Sequence[str] | None = None,
-                    tokens: Sequence[Token] | None = None) -> list[Sentence]:
+def _sentence_bounds(text: str, spans: Sequence[tuple[str, int, int]],
+                     abbreviations: frozenset[str]) -> Iterator[tuple[int, int]]:
+    """Index ranges ``[i, j)`` of `spans` that form one sentence each."""
+    first = 0
+    for k in range(1, len(spans)):
+        if _is_sentence_break(text, spans[k - 1], spans[k], abbreviations):
+            yield first, k
+            first = k
+    if spans:
+        yield first, len(spans)
+
+
+def split_sentences(text: str,
+                    abbreviations: Sequence[str] | None = None) -> list[Sentence]:
     """Group text into sentences.
 
     A run of ``.!?`` followed by whitespace and an upper-case letter or
@@ -182,57 +202,41 @@ def split_sentences(text: str, abbreviations: Sequence[str] | None = None,
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
-    if tokens is None:
-        tokens = tokenize(text, abbreviations)
-    abbrev = frozenset(abbreviations)
-
-    sentences: list[Sentence] = []
-    current: list[Token] = []
-    for tok in tokens:
-        if current and _is_sentence_break(text, current[-1], tok, abbrev):
-            sentences.append(_make_sentence(text, current))
-            current = []
-        current.append(tok)
-    if current:
-        sentences.append(_make_sentence(text, current))
-    return sentences
+    spans = _token_spans(text, abbreviations)
+    return [_make_sentence(text, tuple(Token(*span) for span in spans[i:j]))
+            for i, j in _sentence_bounds(text, spans, frozenset(abbreviations))]
 
 
-def _make_sentence(text: str, toks: list[Token]) -> Sentence:
+def _make_sentence(text: str, toks: tuple[Token, ...]) -> Sentence:
     start, end = toks[0].start, toks[-1].end
-    return Sentence(tokens=tuple(toks), text=text[start:end], start=start)
+    return Sentence(tokens=toks, text=text[start:end], start=start)
 
 
 # ---------------------------------------------------------------------------
 # POS tagger
 
 # Closed-class words are fixed here; open-class words come from the
-# bundled most-frequent-tag lexicon with suffix rules as fallback.
-_DETERMINERS = frozenset(
-    "the a an this that these those each every either neither "
-    "some any no all both another such many much most least few several "
-    "various".split()
+# bundled most-frequent-tag lexicon with suffix rules as fallback.  A word
+# listed under two tags takes the first.
+_CLOSED_CLASS_WORDS = (
+    (DET, "the a an this that these those each every either neither "
+          "some any no all both another such many much most least few several "
+          "various"),
+    (ADP, "in of on at by for with to from into onto upon about above below "
+          "under over between among through during before after against "
+          "within without across along around behind beyond near toward "
+          "towards via per off until since despite throughout"),
+    (VERB, "is are was were be been being am has have had having do does did "
+           "shall will should would may might must can could need ought"),
+    (OTHER, "i you he she it we they me him her us them its his their our "
+            "your my mine yours hers ours theirs itself himself herself "
+            "themselves ourselves myself yourself who whom whose which what "
+            "and or but nor so yet if while although because unless whereas "
+            "whether when where as than that once "
+            "not n't never also only just"),
 )
-_PREPOSITIONS = frozenset(
-    "in of on at by for with to from into onto upon about above below under "
-    "over between among through during before after against within without "
-    "across along around behind beyond near toward towards via per off "
-    "until since despite throughout".split()
-)
-_PRONOUNS = frozenset(
-    "i you he she it we they me him her us them its his their our your my "
-    "mine yours hers ours theirs itself himself herself themselves "
-    "ourselves myself yourself who whom whose which what".split()
-)
-_CONJUNCTIONS = frozenset(
-    "and or but nor so yet if while although because unless whereas "
-    "whether when where as than that once".split()
-)
-_AUXILIARIES = frozenset(
-    "is are was were be been being am has have had having do does did "
-    "shall will should would may might must can could need ought".split()
-)
-_NOT_WORDS = frozenset("not n't never also only just".split())
+_CLOSED_CLASS = {word: tag for tag, words in reversed(_CLOSED_CLASS_WORDS)
+                 for word in words.split()}
 
 _NOUN_SUFFIXES = ("tion", "sion", "ment", "ness", "ance", "ence", "ity",
                   "ship", "ism", "ure", "age")
@@ -243,32 +247,17 @@ _NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 _NO_ALNUM_RE = re.compile(r"^[^\w]+$", re.UNICODE)
 
 
-def _closed_class(lower: str) -> Optional[str]:
-    if lower in _DETERMINERS:
-        return DET
-    if lower in _PREPOSITIONS:
-        return ADP
-    if lower in _AUXILIARIES:
-        return VERB
-    if lower in _PRONOUNS or lower in _CONJUNCTIONS or lower in _NOT_WORDS:
-        return OTHER
-    return None
+# (suffix, replacement, shortest word it applies to), tried in order.
+_STEM_RULES = (("ies", "y", 5), ("es", "", 4), ("s", "", 3))
 
 
 def _stem_lookup(lower: str, tag_lexicon: Mapping[str, str]) -> Optional[str]:
     """Lexicon tag of a plural/3rd-person form via naive s-stripping."""
-    if lower.endswith("ies") and len(lower) > 4:
-        tag = tag_lexicon.get(lower[:-3] + "y")
-        if tag:
-            return tag
-    if lower.endswith("es") and len(lower) > 3:
-        tag = tag_lexicon.get(lower[:-2])
-        if tag:
-            return tag
-    if lower.endswith("s") and len(lower) > 2:
-        tag = tag_lexicon.get(lower[:-1])
-        if tag:
-            return tag
+    for suffix, replacement, shortest in _STEM_RULES:
+        if lower.endswith(suffix) and len(lower) >= shortest:
+            tag = tag_lexicon.get(lower[:-len(suffix)] + replacement)
+            if tag:
+                return tag
     return None
 
 
@@ -299,17 +288,26 @@ def pos_tag(sentence_tokens: Sequence[Token],
     """Assign one coarse tag to every token; tagging is total."""
     if tag_lexicon is None:
         tag_lexicon = default_tag_lexicon()
-    tagged: list[Token] = []
+    tagged = _tag_sentence([t.surface for t in sentence_tokens], tag_lexicon,
+                           None, frozenset())
+    return [replace(tok, pos=pos)
+            for tok, (pos, _lemma, _stop) in zip(sentence_tokens, tagged)]
+
+
+def _tag_sentence(words: Sequence[str], tag_lexicon: Mapping[str, str],
+                  lemmatizer: Lemmatizer | None,
+                  stopwords: frozenset[str]) -> list[tuple[str, str, bool]]:
+    """``(pos, lemma, is_stopword)`` of every word of one sentence."""
+    tagged: list[tuple[str, str, bool]] = []
     prev_tag = ""
-    for i, tok in enumerate(sentence_tokens):
-        surface = tok.surface
+    for i, surface in enumerate(words):
         lower = surface.lower()
         if _NUMERIC_RE.match(surface):
             tag = NUM
         elif _NO_ALNUM_RE.match(surface):
             tag = PUNCT
         else:
-            tag = _closed_class(lower)
+            tag = _CLOSED_CLASS.get(lower)
             if tag is None:
                 tag = tag_lexicon.get(lower)
             if tag is None:
@@ -319,7 +317,8 @@ def pos_tag(sentence_tokens: Sequence[Token],
                     tag = PROPN
                 else:
                     tag = _suffix_tag(lower, prev_tag)
-        tagged.append(replace(tok, pos=tag))
+        tagged.append((tag, lemmatize(lower, tag, lemmatizer),
+                       lower in stopwords))
         prev_tag = tag
     return tagged
 
@@ -374,11 +373,17 @@ def chunk_noun_phrases(tagged_sentence: Sequence[Token],
 
     Matches ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``, then strips the
     determiner and boundary stopwords and lemmatizes the head noun.
+    Stopword flags are set from `stopwords` before matching.
     """
     if stopwords is None:
         stopwords = default_stopwords()
-    toks = [replace(t, is_stopword=t.surface.lower() in stopwords)
-            for t in tagged_sentence]
+    return _chunk([replace(t, is_stopword=t.surface.lower() in stopwords)
+                   for t in tagged_sentence], lemmatizer)
+
+
+def _chunk(toks: Sequence[Token],
+           lemmatizer: Lemmatizer | None) -> list[NounPhrase]:
+    """Noun phrases of tagged tokens whose stopword flags are already set."""
     phrases: list[NounPhrase] = []
     n = len(toks)
     i = 0
@@ -410,11 +415,11 @@ def chunk_noun_phrases(tagged_sentence: Sequence[Token],
 
 
 class Pipeline:
-    """Configured six-stage preprocessor.
+    """Configured preprocessor.
 
-    Stages run in a fixed order: tokenize, sentence split, POS tag,
-    lemmatize, stopword mark, NP chunk.  Configuration is read once at
-    construction; instances are immutable and thread-safe.
+    Tokenizes, splits sentences, tags each sentence in one pass (POS tag,
+    lemma, stopword flag) and chunks noun phrases.  Configuration is read
+    once at construction; instances are immutable and thread-safe.
     """
 
     def __init__(self,
@@ -430,6 +435,16 @@ class Pipeline:
                             else default_tag_lexicon())
         self.lemmatizer = lemmatizer
 
+    def _tagged_sentences(self, text: str) -> Iterator[tuple[
+            list[tuple[str, int, int]], list[tuple[str, str, bool]]]]:
+        """Each sentence's token spans and ``(pos, lemma, is_stopword)``."""
+        spans = _token_spans(text, self.abbreviations)
+        for i, j in _sentence_bounds(text, spans, frozenset(self.abbreviations)):
+            sentence = spans[i:j]
+            yield sentence, _tag_sentence([s for s, _, _ in sentence],
+                                          self.tag_lexicon, self.lemmatizer,
+                                          self.stopwords)
+
     def preprocess(self, text: str | bytes, source_id: str = "") -> PreprocessedDoc:
         """Run the full pipeline over one document."""
         if isinstance(text, bytes):
@@ -440,54 +455,43 @@ class Pipeline:
                     f"{source_id or 'input'}: not valid UTF-8 ({exc})") from exc
         text = unicodedata.normalize("NFC", text)
 
-        raw_tokens = tokenize(text, self.abbreviations)
-        raw_sentences = split_sentences(text, self.abbreviations, tokens=raw_tokens)
-
         sentences: list[Sentence] = []
         noun_phrases: list[NounPhrase] = []
-        for sent in raw_sentences:
-            tagged = pos_tag(sent.tokens, self.tag_lexicon)
-            finished = tuple(
-                replace(t,
-                        lemma=lemmatize(t.surface, t.pos, self.lemmatizer),
-                        is_stopword=t.surface.lower() in self.stopwords)
-                for t in tagged
-            )
-            sentences.append(Sentence(tokens=finished, text=sent.text,
-                                      start=sent.start))
-            noun_phrases.extend(
-                chunk_noun_phrases(finished, self.lemmatizer, self.stopwords))
+        for spans, tagged in self._tagged_sentences(text):
+            tokens = tuple(
+                Token(surface, start, end, pos, lemma, is_stopword)
+                for (surface, start, end), (pos, lemma, is_stopword)
+                in zip(spans, tagged))
+            sentences.append(_make_sentence(text, tokens))
+            noun_phrases.extend(_chunk(tokens, self.lemmatizer))
         return PreprocessedDoc(source_id=source_id,
                                sentences=tuple(sentences),
                                noun_phrases=tuple(noun_phrases))
 
     __call__ = preprocess
 
+    def tagged_lemmas(self, text: str) -> Iterator[tuple[str, str, bool]]:
+        """``(pos, lemma, is_stopword)`` of every token, in order: what
+        `preprocess` puts in its tokens, without building them or chunking."""
+        for _spans, tagged in self._tagged_sentences(
+                unicodedata.normalize("NFC", text)):
+            yield from tagged
+
     def content_tokens(self, text: str) -> list[str]:
         """Lowercased non-stopword word tokens (no tagging), for embeddings."""
-        out = []
-        for tok in tokenize(unicodedata.normalize("NFC", text),
-                            self.abbreviations):
-            lower = tok.surface.lower()
-            if not any(c.isalpha() for c in lower):
-                continue
-            if lower in self.stopwords:
-                continue
-            out.append(lower)
-        return out
+        words = (surface.lower() for surface, _start, _end in _token_spans(
+            unicodedata.normalize("NFC", text), self.abbreviations))
+        return [word for word in words if any(c.isalpha() for c in word)
+                and word not in self.stopwords]
 
 
-_DEFAULT_PIPELINE: Pipeline | None = None
-
-
-def _default_pipeline() -> Pipeline:
-    global _DEFAULT_PIPELINE
-    if _DEFAULT_PIPELINE is None:
-        _DEFAULT_PIPELINE = Pipeline()
-    return _DEFAULT_PIPELINE
+@lru_cache(maxsize=None)
+def default_pipeline() -> Pipeline:
+    """The shared pipeline: bundled data files, no lemmatizer."""
+    return Pipeline()
 
 
 def preprocess_document(text: str | bytes, source_id: str = "",
                         pipeline: Pipeline | None = None) -> PreprocessedDoc:
     """Preprocess one document with the given (or default) pipeline."""
-    return (pipeline or _default_pipeline()).preprocess(text, source_id)
+    return (pipeline or default_pipeline()).preprocess(text, source_id)

@@ -4,7 +4,8 @@ A document vector is the unweighted mean of the word vectors of its
 in-vocabulary, non-stopword tokens.  Texts with no such tokens embed to
 the zero vector, and cosine against a zero vector is defined as 0 so the
 evaluation stays total; the out-of-vocabulary rate is reported so vacuous
-scores can be spotted.
+scores can be spotted.  numpy is imported by the functions that compute,
+so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .corpus import Corpus
 from .errors import WikiHarvestError
-from .preprocess import Pipeline
+from .preprocess import Pipeline, default_pipeline
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MalformedVectorLine(WikiHarvestError):
@@ -71,16 +73,17 @@ def load_vectors(path: str | Path) -> EmbeddingTable:
     """Load a word2vec/GloVe text-format vector file.
 
     Each line is ``token v1 v2 ... vd``; an optional leading header line
-    holds the vocabulary size and dimension.  Duplicate tokens keep their
-    first occurrence.
+    holds the vocabulary size and dimension.  Trailing whitespace and
+    blank lines are ignored; duplicate tokens keep their first occurrence.
     """
+    import numpy as np
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension = 0
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
+            line = line.rstrip()
+            if not line:
                 continue
             fields = line.split(" ")
             if lineno == 1 and len(fields) == 2:
@@ -118,7 +121,8 @@ def embed_document_with_stats(text: str, table: EmbeddingTable,
                               pipeline: Pipeline | None = None,
                               ) -> tuple[np.ndarray, int, int]:
     """Embedding plus (in-vocabulary, out-of-vocabulary) token counts."""
-    pipeline = pipeline or _shared_pipeline()
+    import numpy as np
+    pipeline = pipeline or default_pipeline()
     total = np.zeros(table.dimension, dtype=np.float64)
     in_vocab = 0
     oov = 0
@@ -135,22 +139,29 @@ def embed_document_with_stats(text: str, table: EmbeddingTable,
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, with 0.0 when either vector has zero norm."""
+    """Cosine similarity, with 0.0 when either vector has zero norm.
+
+    Each vector is divided by its largest magnitude first, so squared
+    norms cannot underflow or overflow (Blue, ACM TOMS 1978).
+    """
+    import numpy as np
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionMismatch(f"shapes {u.shape} and {v.shape} differ")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    su = np.max(np.abs(u), initial=0.0)
+    sv = np.max(np.abs(v), initial=0.0)
+    if su == 0.0 or sv == 0.0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    u = u / su
+    v = v / sv
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def evaluate(corpus: Corpus, test_rs_text: str, table: EmbeddingTable,
              pipeline: Pipeline | None = None) -> RelatednessReport:
     """Cosine of every corpus article against the test RS, with aggregates."""
-    pipeline = pipeline or _shared_pipeline()
+    pipeline = pipeline or default_pipeline()
     if len(corpus) == 0:
         raise EmptyCorpus("corpus has no articles")
     rs_vec, in_vocab, oov = embed_document_with_stats(
@@ -171,13 +182,3 @@ def evaluate(corpus: Corpus, test_rs_text: str, table: EmbeddingTable,
         max=max(scores),
         oov_rate=oov_rate,
     )
-
-
-_PIPELINE: Pipeline | None = None
-
-
-def _shared_pipeline() -> Pipeline:
-    global _PIPELINE
-    if _PIPELINE is None:
-        _PIPELINE = Pipeline()
-    return _PIPELINE

@@ -1,6 +1,8 @@
 """CLI surface: flags, exit codes, and stdout contracts."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +53,16 @@ class TestHelp:
         text = cli("--help").stdout.decode()
         for cmd in ("mine", "keywords", "eval", "report"):
             assert cmd in text
+
+
+def test_import_does_not_load_numpy():
+    """Only `eval` needs numpy; the other commands start without it."""
+    code = ("import sys, wikiharvest.cli as cli; "
+            "assert callable(cli.load_vectors) and callable(cli.evaluate); "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestKeywordsCommand:

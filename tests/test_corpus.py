@@ -47,6 +47,15 @@ class TestWriteCorpus:
         write_corpus(SAMPLE, out, created_at="2026-01-01T00:00:00Z")
         assert (out / "manifest.json").read_bytes() == first
 
+    def test_rerun_removes_unlisted_articles(self, tmp_path):
+        out = tmp_path / "c"
+        write_corpus([(1, "A", "one"), (2, "B", "two")], out)
+        manifest = write_corpus([(1, "A", "one")], out)
+        assert sorted(p.name for p in (out / "articles").iterdir()) == \
+            ["1.txt"]
+        assert [e["page_id"] for e in manifest.articles] == [1]
+        assert [text for _pid, _t, text in load_corpus(out)] == ["one"]
+
     def test_source_date_epoch_pins_timestamp(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         manifest = write_corpus(SAMPLE, tmp_path / "c")

@@ -172,15 +172,17 @@ class TestExtractAndExport:
                                               mini_wordnet):
         doc = wn_pipeline.preprocess(
             "The lunar rover moves. The lunar rover stops.")
-        solo = extract_keywords(doc, mini_wordnet, KeywordConfig(top_k=5))
-        cfg = KeywordConfig(top_k=5,
-                            background_docs=("A lunar rover waits here.",))
-        with_bg = extract_keywords(doc, mini_wordnet, cfg)
+        cfg = KeywordConfig(top_k=5)
+        solo = extract_keywords(doc, mini_wordnet, cfg)
+        with_bg = extract_keywords(
+            doc, mini_wordnet, cfg,
+            background_docs=[wn_pipeline.preprocess("A lunar rover waits here.")])
         assert solo[0].idf == 1.0
         assert with_bg[0].idf == 1.0  # phrase present in both documents
         assert with_bg[0].phrase == "lunar rover"
-        cfg2 = KeywordConfig(top_k=5, background_docs=("Unrelated text.",))
-        boosted = extract_keywords(doc, mini_wordnet, cfg2)
+        boosted = extract_keywords(
+            doc, mini_wordnet, cfg,
+            background_docs=[wn_pipeline.preprocess("Unrelated text.")])
         assert boosted[0].idf > 1.0
 
     def test_tsv_format(self):

@@ -1,12 +1,15 @@
 """WordNet flat-file loading, membership queries, and morphy."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikiharvest import lexicon
 from wikiharvest.lexicon import (MalformedLine, MissingFile, contains_lemma,
-                                 load_wordnet, morphy)
-from wikiharvest.preprocess import ADJ, ADV, NOUN, VERB
+                                 load_wordnet, make_lemmatizer, morphy)
+from wikiharvest.preprocess import ADJ, ADV, NOUN, VERB, Pipeline
 
 
 class TestLoad:
@@ -113,3 +116,28 @@ class TestMorphy:
                     base = morphy(mini_wordnet, lemma + suffix, pos)
                     if base is not None:
                         assert contains_lemma(mini_wordnet, base)
+
+
+class TestMakeLemmatizer:
+    def test_morphy_runs_once_per_form_and_pos(self, mini_wordnet,
+                                                monkeypatch):
+        calls = Counter()
+        real = lexicon.morphy
+
+        def counting(lex, surface, pos):
+            calls[surface, pos] += 1
+            return real(lex, surface, pos)
+
+        monkeypatch.setattr(lexicon, "morphy", counting)
+        pipeline = Pipeline(lemmatizer=make_lemmatizer(mini_wordnet))
+        text = "The rovers stop. The rovers stop. Rovers transmitted data."
+        first = pipeline.preprocess(text)
+        assert pipeline.preprocess(text) == first
+        assert calls[("rovers", NOUN)] == 1
+        assert set(calls.values()) == {1}
+
+    def test_cached_answers_match_morphy(self, mini_wordnet):
+        lemmatizer = make_lemmatizer(mini_wordnet)
+        for form, pos in [("rovers", NOUN), ("transmitted", VERB),
+                          ("unknownish", NOUN), ("rovers", NOUN)]:
+            assert lemmatizer(form, pos) == morphy(mini_wordnet, form, pos)

@@ -1,6 +1,10 @@
 """Preprocessing pipeline: tokenizer, splitter, tagger, lemmatizer, chunker."""
 
+import json
 import string
+import unicodedata
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,57 @@ from wikiharvest.preprocess import (ADJ, ADV, DET, NOUN, PUNCT, VERB,
 
 def surfaces(tokens):
     return [t.surface for t in tokens]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture_texts():
+    """The railway and transport fixture texts: RS files and articles."""
+    texts = [p.read_text("utf-8") for p in sorted(FIXTURES.glob("*_rs.txt"))]
+    texts += [p.read_text("utf-8") for p in
+              sorted((FIXTURES / "transport_corpus" / "articles").iterdir())]
+    graph = json.loads((FIXTURES / "railway_graph.json").read_text("utf-8"))
+    texts += [art["text"] for art in graph["articles"].values()]
+    return texts
+
+
+# Words the tagger, lemmatizer and chunker treat differently, plus
+# abbreviations, numbers and punctuation the splitter looks at.
+PIECES = ["The", "the", "a", "lunar", "rover", "Rovers", "rovers", "stops",
+          "communications", "transmitted", "signalling", "is", "applied",
+          "other", "trains", "Train", "quickly", "brake", "e.g.", "Mr.",
+          "fig.", "3.5", "42", ".", "!", "?", ",", "-", "'", "Zürich",
+          "Café", "cafe\u0301"]
+generated_texts = st.lists(
+    st.tuples(st.one_of(st.sampled_from(PIECES),
+                        st.text(alphabet="abXY.,!?'-07 é", min_size=1,
+                                max_size=6)),
+              st.sampled_from([" ", " ", "", "\n", "\n\n", ".  "])),
+    max_size=40).map(lambda parts: "".join(p + sep for p, sep in parts))
+
+
+def reference_sentences(text, pipeline):
+    """Tokens built by the public stage functions, one sentence at a time."""
+    text = unicodedata.normalize("NFC", text)
+    return [tuple(replace(t, lemma=lemmatize(t.surface, t.pos,
+                                             pipeline.lemmatizer),
+                          is_stopword=t.surface.lower() in pipeline.stopwords)
+                  for t in pos_tag(sent.tokens, pipeline.tag_lexicon))
+            for sent in split_sentences(text, pipeline.abbreviations)]
+
+
+def check_single_pass(text, pipeline):
+    doc = pipeline.preprocess(text)
+    expected = reference_sentences(text, pipeline)
+    assert [s.tokens for s in doc.sentences] == expected
+    assert list(doc.noun_phrases) == [
+        np for sent in expected
+        for np in chunk_noun_phrases(sent, pipeline.lemmatizer,
+                                     pipeline.stopwords)]
+    assert list(pipeline.tagged_lemmas(text)) == [
+        (t.pos, t.lemma, t.is_stopword)
+        for s in doc.sentences for t in s.tokens]
 
 
 class TestTokenize:
@@ -241,3 +296,22 @@ class TestPipeline:
     def test_default_pipeline_function(self):
         doc = preprocess_document("A train passes.")
         assert len(doc.sentences) == 1
+
+
+class TestSinglePass:
+    """`preprocess` and `tagged_lemmas` against the public stage functions."""
+
+    @given(generated_texts)
+    @settings(max_examples=150, deadline=None)
+    def test_generated_texts(self, wn_pipeline, text):
+        check_single_pass(text, wn_pipeline)
+
+    def test_fixture_texts(self, wn_pipeline):
+        texts = fixture_texts()
+        assert len(texts) > 800
+        for text in texts:
+            check_single_pass(text, wn_pipeline)
+
+    def test_without_lemmatizer(self):
+        for text in fixture_texts()[:20]:
+            check_single_pass(text, Pipeline())

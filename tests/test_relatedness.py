@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wikiharvest.corpus import load_corpus, write_corpus
@@ -62,6 +62,33 @@ class TestLoadVectors:
         path.write_text("tok 1 0\ntok 9 9\n")
         table = load_vectors(path)
         assert table.vectors["tok"].tolist() == [1.0, 0.0]
+
+    def test_trailing_space_accepted(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("rail 0.1 0.2 \ntrack 0.3 0.4 \n")
+        table = load_vectors(path)
+        assert table.dimension == 2
+        assert table.vectors["rail"].tolist() == [0.1, 0.2]
+
+    def test_short_line_with_trailing_space(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("rail 0.1 0.2 \ntrack 0.3 \n")
+        with pytest.raises(InconsistentDimension) as exc:
+            load_vectors(path)
+        assert ":2" in str(exc.value)
+
+    def test_token_only_line_malformed(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("rail 0.1 0.2\ntrack \n")
+        with pytest.raises(MalformedVectorLine) as exc:
+            load_vectors(path)
+        assert ":2" in str(exc.value)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("rail 0.1 0.2\n\n   \ntrack 0.3 0.4\n\n")
+        table = load_vectors(path)
+        assert set(table.vectors) == {"rail", "track"}
 
     def test_toy_table_has_header_and_100_tokens(self, toy_table):
         assert toy_table.dimension == 8
@@ -122,6 +149,10 @@ class TestCosine:
         assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
         assert cosine(np.zeros(3), np.zeros(3)) == 0.0
 
+    def test_tiny_components_do_not_underflow(self):
+        got = cosine(np.array([0.0, 1.79e-164]), np.array([1.0, 1.0]))
+        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cosine(np.zeros(3), np.zeros(4))
@@ -137,6 +168,7 @@ class TestCosine:
     @given(finite_vectors,
            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     @settings(max_examples=200)
+    @example(u=[0.0, 1.79e-164], alpha=88.0)
     def test_scale_invariance(self, u, alpha):
         a = np.array(u)
         b = np.array([x + 1.0 for x in u])
