@@ -5,9 +5,8 @@
 
 from pathlib import Path
 
-from wikiharvest.keywords import (KeywordConfig, count_candidates,
-                                  extract_keywords, filter_generic,
-                                  keywords_to_tsv)
+from wikiharvest.keywords import (count_candidates, extract_keywords,
+                                  filter_generic, keywords_to_tsv)
 from wikiharvest.lexicon import load_wordnet, make_lemmatizer
 from wikiharvest.preprocess import Pipeline
 
@@ -30,6 +29,6 @@ example = filter_generic({"rover": 3, "lunar rover": 2}, lexicon)
 print(f"filter example: {{'rover': 3, 'lunar rover': 2}} -> {example}\n")
 
 # single-document runs have idf = 1, so scores equal raw counts
-keywords = extract_keywords(doc, lexicon, KeywordConfig(top_k=15))
+keywords = extract_keywords(doc, lexicon, top_k=15)
 print("top 15 keywords (phrase, tf, idf, score):")
 print(keywords_to_tsv(keywords))

@@ -6,18 +6,21 @@
 #
 #   transport = CachedTransport(cache_dir="cache")  # real HTTPS
 #
+import tempfile
 from pathlib import Path
 
 from wikiharvest.crawler import (CachedTransport, CrawlConfig, WikiClient,
                                  dedupe_seeds, expand, search_keywords)
 from wikiharvest.lexicon import load_wordnet, make_lemmatizer
+from wikiharvest.preprocess import Pipeline
 from wikiharvest.testing import FakeWiki
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 wiki = FakeWiki.from_path(FIXTURES / "railway_graph.json")
 lexicon = load_wordnet(FIXTURES / "wordnet_mini")
-client = WikiClient(wiki.transport(), lemmatizer=make_lemmatizer(lexicon))
+pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
+client = WikiClient(wiki.transport(), pipeline)
 
 # partial title matching: the keyword only needs one shared content token
 for keyword in ("rail transport system", "driver machine interface",
@@ -46,14 +49,12 @@ pages, subcats = client.list_category_members(cats[0])
 print(f"{cats[0].title}: {len(pages)} pages, {len(subcats)} subcategories")
 
 # demonstrate offline replay through the on-disk cache
-import tempfile
-
-cache_dir = Path(tempfile.mkdtemp()) / "cache"
-warm = CachedTransport(cache_dir=cache_dir, fetcher=wiki.fetcher(),
-                       request_delay_ms=0)
-expand(WikiClient(warm, lemmatizer=make_lemmatizer(lexicon)),
-       seeds, CrawlConfig(depth=1))
-replay = CachedTransport(cache_dir=cache_dir, offline=True)
-result = expand(WikiClient(replay), seeds, CrawlConfig(depth=1))
+with tempfile.TemporaryDirectory() as tmp:
+    cache_dir = Path(tmp) / "cache"
+    warm = CachedTransport(cache_dir=cache_dir, fetcher=wiki.fetcher(),
+                           request_delay_ms=0)
+    expand(WikiClient(warm, pipeline), seeds, CrawlConfig(depth=1))
+    replay = CachedTransport(cache_dir=cache_dir, offline=True)
+    result = expand(WikiClient(replay), seeds, CrawlConfig(depth=1))
 print(f"\noffline replay from cache: {len(result.articles)} articles, "
       f"{replay.network_requests} network requests")

@@ -21,7 +21,7 @@ from .crawler import (DEFAULT_ENDPOINT, DEFAULT_USER_AGENT, CachedTransport,
                       CrawlConfig, WikiClient, dedupe_seeds, expand,
                       fetch_all_texts, search_keywords)
 from .errors import WikiHarvestError
-from .keywords import KeywordConfig, extract_keywords, keywords_to_tsv
+from .keywords import extract_keywords, keywords_to_tsv
 from .lexicon import MissingFile, load_wordnet, make_lemmatizer
 from .preprocess import Pipeline
 from .relatedness import evaluate, load_vectors
@@ -106,8 +106,7 @@ def run_mine(input_rs: Path,
     backgrounds = [pipeline.preprocess(p.read_bytes(), source_id=str(p))
                    for p in background_paths]
 
-    kws = extract_keywords(doc, lexicon, KeywordConfig(top_k=top_k),
-                           backgrounds)
+    kws = extract_keywords(doc, lexicon, backgrounds, top_k=top_k)
     echo(f"# keywords: {len(kws)}")
     echo(keywords_to_tsv(kws), nl=False)
 
@@ -116,8 +115,7 @@ def run_mine(input_rs: Path,
     if transport is None:
         transport = CachedTransport(endpoint=endpoint, cache_dir=cache_dir,
                                     offline=offline, user_agent=user_agent)
-    client = WikiClient(transport, stopwords=pipeline.stopwords,
-                        lemmatizer=pipeline.lemmatizer)
+    client = WikiClient(transport, pipeline)
 
     matches = search_keywords(client, [kw.phrase for kw in kws])
     seeds = dedupe_seeds(matches)
@@ -128,10 +126,8 @@ def run_mine(input_rs: Path,
         else:
             echo(f"{phrase}\t{ref.title}\t{ref.page_id}")
 
-    cfg = CrawlConfig(depth=depth, max_articles=max_articles,
-                      cache_dir=cache_dir, user_agent=user_agent,
-                      workers=workers)
-    result = expand(client, seeds, cfg, seed_matches=matches)
+    cfg = CrawlConfig(depth=depth, max_articles=max_articles, workers=workers)
+    result = expand(client, seeds, cfg)
     echo(f"# articles: {len(result.articles)}")
     if result.frontier_truncated:
         echo("# frontier truncated: reached --max-articles")
@@ -221,8 +217,7 @@ def keywords_cmd(input_rs, top_k, wordnet_dir, background_paths):
                                   source_id=str(input_rs))
         backgrounds = [pipeline.preprocess(p.read_bytes(), source_id=str(p))
                        for p in background_paths]
-        kws = extract_keywords(doc, lexicon, KeywordConfig(top_k=top_k),
-                               backgrounds)
+        kws = extract_keywords(doc, lexicon, backgrounds, top_k=top_k)
         click.echo(keywords_to_tsv(kws), nl=False)
     except (WikiHarvestError, OSError) as exc:
         _fail(str(exc))

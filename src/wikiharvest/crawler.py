@@ -30,7 +30,7 @@ from urllib.parse import urlencode
 
 from . import __version__
 from .errors import WikiHarvestError
-from .preprocess import NOUN, Lemmatizer, default_stopwords, tokenize
+from .preprocess import NOUN, Pipeline, default_pipeline
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,11 @@ DEFAULT_USER_AGENT = f"wikiharvest/{__version__}"
 
 ARTICLE_NAMESPACE = 0
 CATEGORY_NAMESPACE = 14
+
+SEARCH_LIMIT = 5        # search results considered per keyword
+MIN_TITLE_OVERLAP = 1   # content tokens a title must share with its keyword
+MAX_ATTEMPTS = 3        # network attempts per request
+BACKOFF_MS = 500        # wait before the first retry; doubles per retry
 
 
 class CrawlerError(WikiHarvestError):
@@ -78,9 +83,6 @@ class CategoryRef:
 class CrawlConfig:
     depth: int = 1
     max_articles: int = 5000
-    request_delay_ms: int = 100
-    cache_dir: Optional[Path] = None
-    user_agent: str = DEFAULT_USER_AGENT
     workers: int = 1
 
     def __post_init__(self):
@@ -94,7 +96,6 @@ class CrawlConfig:
 
 @dataclass(frozen=True)
 class CrawlResult:
-    seeds: tuple[tuple[str, Optional[ArticleRef]], ...]
     articles: tuple[ArticleRef, ...]
     frontier_truncated: bool
 
@@ -112,13 +113,13 @@ def _base_params() -> dict[str, str]:
     return {"action": "query", "format": "json", "formatversion": "2"}
 
 
-def search_params(keyword: str, limit: int = 5) -> dict[str, str]:
+def search_params(keyword: str) -> dict[str, str]:
     params = _base_params()
     params.update({
         "generator": "search",
         "gsrsearch": keyword,
         "gsrnamespace": "0",
-        "gsrlimit": str(limit),
+        "gsrlimit": str(SEARCH_LIMIT),
         "prop": "pageprops",
         "ppprop": "disambiguation",
     })
@@ -176,11 +177,12 @@ def _requests_fetcher(url: str, headers: Mapping[str, str]) -> tuple[int, str]:
 
 
 class CachedTransport:
-    """HTTP layer with disk cache, retries, and per-worker politeness delay.
+    """HTTP layer with disk cache, retries, and a politeness delay.
 
     Cache layout: ``<cache_dir>/<sha256(canonical_url)>.json``.  Cache hits
     never touch the network and never sleep; in offline mode a miss raises
-    :class:`OfflineCacheMiss`.
+    :class:`OfflineCacheMiss`.  Network requests from all threads sharing
+    one transport start at least `request_delay_ms` apart.
     """
 
     def __init__(self,
@@ -189,20 +191,16 @@ class CachedTransport:
                  offline: bool = False,
                  user_agent: str = DEFAULT_USER_AGENT,
                  request_delay_ms: int = 100,
-                 fetcher: Fetcher | None = None,
-                 max_attempts: int = 3,
-                 backoff_ms: int = 500):
+                 fetcher: Fetcher | None = None):
         self.endpoint = endpoint
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.offline = offline
         self.user_agent = user_agent
         self.request_delay_ms = request_delay_ms
         self.fetcher = fetcher or _requests_fetcher
-        self.max_attempts = max_attempts
-        self.backoff_ms = backoff_ms
         self.network_requests = 0
-        self._count_lock = threading.Lock()
-        self._local = threading.local()
+        self._next_slot = 0.0    # earliest start of the next network request
+        self._lock = threading.Lock()
 
     def cache_path(self, url: str) -> Optional[Path]:
         if self.cache_dir is None:
@@ -232,21 +230,21 @@ class CachedTransport:
         os.replace(tmp, path)
 
     def _polite_wait(self) -> None:
+        """Reserve the next request slot under the lock, then sleep until it."""
         if self.request_delay_ms <= 0:
             return
-        last = getattr(self._local, "last_request", None)
-        now = time.monotonic()
-        if last is not None:
-            remaining = self.request_delay_ms / 1000.0 - (now - last)
-            if remaining > 0:
-                time.sleep(remaining)
-        self._local.last_request = time.monotonic()
+        with self._lock:
+            now = time.monotonic()
+            slot = max(now, self._next_slot)
+            self._next_slot = slot + self.request_delay_ms / 1000.0
+        if slot > now:
+            time.sleep(slot - now)
 
     def _fetch(self, url: str) -> dict:
         last_error: Optional[NetworkError] = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff_ms * (2 ** (attempt - 1)) / 1000.0)
+                time.sleep(BACKOFF_MS * (2 ** (attempt - 1)) / 1000.0)
             self._polite_wait()
             try:
                 status, body = self.fetcher(url, {"User-Agent": self.user_agent})
@@ -258,10 +256,10 @@ class CachedTransport:
                 last_error = NetworkError(f"{url}: {exc}")
                 log.warning("attempt %d failed: %s", attempt + 1, exc)
                 continue
-            with self._count_lock:
+            with self._lock:
                 self.network_requests += 1
-            if 500 <= status < 600:
-                last_error = NetworkError(f"{url}: server error {status}")
+            if status == 429 or 500 <= status < 600:
+                last_error = NetworkError(f"{url}: HTTP status {status}")
                 log.warning("attempt %d got status %d", attempt + 1, status)
                 continue
             if status != 200:
@@ -278,30 +276,21 @@ class CachedTransport:
 # title matching
 
 
-def content_token_set(text: str,
-                      stopwords: frozenset[str] | None = None,
-                      lemmatizer: Lemmatizer | None = None) -> set[str]:
-    """Lowercased non-stopword word tokens with the head token lemmatized."""
-    if stopwords is None:
-        stopwords = default_stopwords()
-    words = [t.surface.lower() for t in tokenize(text)
-             if any(c.isalpha() for c in t.surface)]
-    words = [w for w in words if w not in stopwords]
-    if words and lemmatizer is not None:
-        base = lemmatizer(words[-1], NOUN)
-        if base:
-            words[-1] = base
+def _head_lemmatized(text: str, pipeline: Pipeline) -> set[str]:
+    """The pipeline's content tokens, the last (head) one as a noun lemma."""
+    words = pipeline.content_tokens(text)
+    if words and pipeline.lemmatizer is not None:
+        words[-1] = pipeline.lemmatizer(words[-1], NOUN) or words[-1]
     return set(words)
 
 
-def title_overlap(title: str, keyword: str, *,
-                  stopwords: frozenset[str] | None = None,
-                  lemmatizer: Lemmatizer | None = None,
-                  min_shared: int = 1) -> bool:
-    """True iff title and keyword share at least `min_shared` content tokens."""
-    a = content_token_set(title, stopwords, lemmatizer)
-    b = content_token_set(keyword, stopwords, lemmatizer)
-    return len(a & b) >= min_shared
+def title_overlap(title: str, keyword: str,
+                  pipeline: Pipeline | None = None) -> bool:
+    """True iff title and keyword share at least `MIN_TITLE_OVERLAP` content
+    tokens of the given (or default) pipeline."""
+    pipeline = pipeline or default_pipeline()
+    shared = _head_lemmatized(title, pipeline) & _head_lemmatized(keyword, pipeline)
+    return len(shared) >= MIN_TITLE_OVERLAP
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +301,9 @@ class WikiClient:
     """Typed operations over the MediaWiki Action API."""
 
     def __init__(self, transport: CachedTransport,
-                 search_limit: int = 5,
-                 min_title_overlap: int = 1,
-                 stopwords: frozenset[str] | None = None,
-                 lemmatizer: Lemmatizer | None = None):
+                 pipeline: Pipeline | None = None):
         self.transport = transport
-        self.search_limit = search_limit
-        self.min_title_overlap = min_title_overlap
-        self.stopwords = stopwords if stopwords is not None else default_stopwords()
-        self.lemmatizer = lemmatizer
+        self.pipeline = pipeline or default_pipeline()
 
     def _query_all(self, params: dict[str, str]) -> Iterator[dict]:
         """Issue a query and follow `continue` tokens until drained."""
@@ -341,7 +324,7 @@ class WikiClient:
         """
         if not keyword.strip():
             raise ValueError("keyword must be non-empty")
-        resp = self.transport.get(search_params(keyword, self.search_limit))
+        resp = self.transport.get(search_params(keyword))
         pages = (resp.get("query") or {}).get("pages") or []
         for page in sorted(pages, key=lambda p: p.get("index", 1 << 30)):
             if page.get("missing"):
@@ -349,9 +332,7 @@ class WikiClient:
             if "disambiguation" in (page.get("pageprops") or {}):
                 continue
             title = page["title"]
-            if title_overlap(title, keyword, stopwords=self.stopwords,
-                             lemmatizer=self.lemmatizer,
-                             min_shared=self.min_title_overlap):
+            if title_overlap(title, keyword, self.pipeline):
                 return ArticleRef(title=title, page_id=page["pageid"],
                                   namespace=page.get("ns", ARTICLE_NAMESPACE))
         return None
@@ -419,9 +400,8 @@ def dedupe_seeds(matches: Sequence[tuple[str, Optional[ArticleRef]]],
     return sorted(seeds.values(), key=lambda r: r.page_id)
 
 
-def expand(client: WikiClient, seeds: Sequence[ArticleRef], cfg: CrawlConfig,
-           seed_matches: Sequence[tuple[str, Optional[ArticleRef]]] | None = None,
-           ) -> CrawlResult:
+def expand(client: WikiClient, seeds: Sequence[ArticleRef],
+           cfg: CrawlConfig) -> CrawlResult:
     """Breadth-first expansion of seed articles through the category graph."""
     articles: dict[int, ArticleRef] = {}
     truncated = False
@@ -468,10 +448,7 @@ def expand(client: WikiClient, seeds: Sequence[ArticleRef], cfg: CrawlConfig,
                 level = sorted(next_level.values(), key=lambda c: c.page_id)
 
     result = tuple(sorted(articles.values(), key=lambda r: r.page_id))
-    if seed_matches is None:
-        seed_matches = [(s.title, s) for s in ordered_seeds]
-    return CrawlResult(seeds=tuple(seed_matches), articles=result,
-                       frontier_truncated=truncated)
+    return CrawlResult(articles=result, frontier_truncated=truncated)
 
 
 def fetch_all_texts(client: WikiClient, articles: Sequence[ArticleRef],

@@ -24,16 +24,6 @@ class Keyword:
     score: float
 
 
-@dataclass(frozen=True)
-class KeywordConfig:
-    top_k: int = 50
-    wordnet_filter: bool = True
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-
-
 def count_candidates(doc: PreprocessedDoc) -> dict[str, int]:
     """Occurrence count of each normalized noun phrase in the document."""
     return dict(Counter(np.normalized for np in doc.noun_phrases))
@@ -83,17 +73,18 @@ def select_top_k(keywords: Iterable[Keyword], k: int) -> list[Keyword]:
 
 def extract_keywords(doc: PreprocessedDoc,
                      lexicon: WordnetLexicon | None = None,
-                     config: KeywordConfig = KeywordConfig(),
-                     background_docs: Sequence[PreprocessedDoc] = ()) -> list[Keyword]:
+                     background_docs: Sequence[PreprocessedDoc] = (),
+                     *, top_k: int = 50) -> list[Keyword]:
     """Full chain: count NPs, filter generic terms, score, take top-K.
 
-    The preprocessed `background_docs` feed document frequency only.
+    Generic terms are filtered only when a `lexicon` is given.  The
+    preprocessed `background_docs` feed document frequency only.
     """
     counts = count_candidates(doc)
-    if config.wordnet_filter and lexicon is not None:
+    if lexicon is not None:
         counts = filter_generic(counts, lexicon)
     per_doc = [counts] + [count_candidates(bg) for bg in background_docs]
-    return select_top_k(score_tfidf(per_doc, 0), config.top_k)
+    return select_top_k(score_tfidf(per_doc, 0), top_k)
 
 
 def keywords_to_tsv(keywords: Sequence[Keyword]) -> str:

@@ -2,24 +2,38 @@
 
 import json
 import random
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from wikiharvest import crawler
 from wikiharvest.crawler import (ApiError, ArticleRef, CachedTransport,
                                  CategoryRef, CrawlConfig, NetworkError,
                                  OfflineCacheMiss, PageMissing, WikiClient,
                                  canonical_url, dedupe_seeds, expand,
                                  fetch_all_texts, search_keywords,
                                  title_overlap)
-from wikiharvest.lexicon import make_lemmatizer
 from wikiharvest.testing import FakeWiki, random_wiki, reachable_articles
 
 ENDPOINT = "https://en.wikipedia.org/w/api.php"
+EXTRACT_1 = {"action": "query", "format": "json", "formatversion": "2",
+             "prop": "extracts", "explaintext": "1", "redirects": "1",
+             "pageids": "1"}
 
 
-def client_for(wiki, lemmatizer=None, **kwargs):
-    return WikiClient(wiki.transport(), lemmatizer=lemmatizer, **kwargs)
+def client_for(wiki, pipeline=None):
+    return WikiClient(wiki.transport(), pipeline)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Seconds passed to `time.sleep`, which returns at once."""
+    calls = []
+    monkeypatch.setattr(crawler.time, "sleep", calls.append)
+    return calls
 
 
 def small_wiki():
@@ -45,8 +59,7 @@ def small_wiki():
 class TestTitleOverlap:
     def test_partial_match(self, wn_pipeline):
         assert title_overlap("Rail transport", "efficiency of rail transport",
-                             stopwords=wn_pipeline.stopwords,
-                             lemmatizer=wn_pipeline.lemmatizer)
+                             wn_pipeline)
 
     def test_exact_match(self):
         assert title_overlap("Rail transport", "rail transport")
@@ -57,16 +70,8 @@ class TestTitleOverlap:
     def test_stopwords_do_not_count_as_overlap(self):
         assert not title_overlap("The of and", "of the such")
 
-    def test_head_lemmatization(self, mini_wordnet):
-        lem = make_lemmatizer(mini_wordnet)
-        assert title_overlap("Lunar rovers", "the lunar rover",
-                             lemmatizer=lem)
-
-    def test_min_shared_threshold(self):
-        assert not title_overlap("Rail transport", "rail freight",
-                                 min_shared=2)
-        assert title_overlap("Rail transport", "rail transport efficiency",
-                             min_shared=2)
+    def test_head_lemmatization(self, wn_pipeline):
+        assert title_overlap("Lunar rovers", "the lunar rover", wn_pipeline)
 
 
 class TestCanonicalUrl:
@@ -120,7 +125,7 @@ class TestTransport:
         assert cold.get(params) == want
         assert cold.network_requests == 0
 
-    def test_retry_then_success(self):
+    def test_retry_then_success(self, sleeps):
         wiki = small_wiki()
         raw = wiki.fetcher()
         state = {"n": 0}
@@ -132,24 +137,23 @@ class TestTransport:
             return raw(url, headers)
 
         transport = CachedTransport(ENDPOINT, fetcher=flaky,
-                                    request_delay_ms=0, backoff_ms=1)
-        got = transport.get({"action": "query", "format": "json",
-                             "formatversion": "2", "prop": "extracts",
-                             "explaintext": "1", "redirects": "1",
-                             "pageids": "1"})
+                                    request_delay_ms=0)
+        got = transport.get(EXTRACT_1)
         assert state["n"] == 3
         assert "query" in got
+        assert sleeps == [0.5, 1.0]
 
-    def test_retries_exhausted(self):
+    def test_retries_exhausted(self, sleeps):
         def always_down(url, headers):
             raise NetworkError("down")
 
         transport = CachedTransport(ENDPOINT, fetcher=always_down,
-                                    request_delay_ms=0, backoff_ms=1)
+                                    request_delay_ms=0)
         with pytest.raises(NetworkError):
             transport.get({"action": "query"})
+        assert sleeps == [0.5, 1.0]
 
-    def test_server_error_retried(self):
+    def test_server_error_retried(self, sleeps):
         state = {"n": 0}
         wiki = small_wiki()
         raw = wiki.fetcher()
@@ -161,13 +165,28 @@ class TestTransport:
             return raw(url, headers)
 
         transport = CachedTransport(ENDPOINT, fetcher=flaky,
-                                    request_delay_ms=0, backoff_ms=1)
-        transport.get({"action": "query", "format": "json",
-                       "formatversion": "2", "prop": "extracts",
-                       "explaintext": "1", "redirects": "1", "pageids": "1"})
+                                    request_delay_ms=0)
+        transport.get(EXTRACT_1)
         assert state["n"] == 2
+        assert sleeps == [0.5]
 
-    def test_client_error_not_retried(self):
+    def test_rate_limit_retried(self, sleeps):
+        state = {"n": 0}
+        raw = small_wiki().fetcher()
+
+        def limited_once(url, headers):
+            state["n"] += 1
+            if state["n"] == 1:
+                return 429, "too many requests"
+            return raw(url, headers)
+
+        transport = CachedTransport(ENDPOINT, fetcher=limited_once,
+                                    request_delay_ms=0)
+        assert "query" in transport.get(EXTRACT_1)
+        assert state["n"] == 2
+        assert sleeps == [0.5]
+
+    def test_client_error_not_retried(self, sleeps):
         state = {"n": 0}
 
         def gone(url, headers):
@@ -175,10 +194,11 @@ class TestTransport:
             return 404, "not here"
 
         transport = CachedTransport(ENDPOINT, fetcher=gone,
-                                    request_delay_ms=0, backoff_ms=1)
+                                    request_delay_ms=0)
         with pytest.raises(ApiError):
             transport.get({"action": "query"})
         assert state["n"] == 1
+        assert sleeps == []
 
     def test_api_error_payload(self):
         def err(url, headers):
@@ -211,15 +231,42 @@ class TestTransport:
         elapsed = time.monotonic() - start
         assert elapsed >= 0.055  # two inter-request windows of 30 ms
 
+    def test_politeness_delay_shared_by_workers(self):
+        raw = small_wiki().fetcher()
+        starts = []
+        lock = threading.Lock()
+
+        def timed(url, headers):
+            with lock:
+                starts.append(time.monotonic())
+            return raw(url, headers)
+
+        delay_ms = 100
+        transport = CachedTransport(ENDPOINT, fetcher=timed,
+                                    request_delay_ms=delay_ms)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda pid: transport.get(
+                    {**EXTRACT_1, "pageids": str(pid)}), range(1, 9),
+                    timeout=10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert transport.network_requests == 8
+        starts.sort()
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
+        assert min(gaps) >= 0.9 * delay_ms / 1000
+
 
 class TestClient:
     def test_search_match(self, wn_pipeline):
-        client = client_for(small_wiki(), wn_pipeline.lemmatizer)
+        client = client_for(small_wiki(), wn_pipeline)
         ref = client.search_article("rail transport")
         assert ref == ArticleRef(title="Rail transport", page_id=1)
 
     def test_search_partial_title_match(self, wn_pipeline):
-        client = client_for(small_wiki(), wn_pipeline.lemmatizer)
+        client = client_for(small_wiki(), wn_pipeline)
         ref = client.search_article("efficiency of rail transport")
         assert ref is not None and ref.title == "Rail transport"
 
@@ -419,7 +466,7 @@ class TestExpand:
 
 class TestOrchestrationHelpers:
     def test_search_keywords_keeps_misses(self, wn_pipeline):
-        client = client_for(small_wiki(), wn_pipeline.lemmatizer)
+        client = client_for(small_wiki(), wn_pipeline)
         matches = search_keywords(client, ["rail transport", "zzqx-nothing"])
         assert matches[0][1] is not None
         assert matches[1] == ("zzqx-nothing", None)

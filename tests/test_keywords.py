@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikiharvest.keywords import (Keyword, KeywordConfig, count_candidates,
+from wikiharvest.keywords import (Keyword, count_candidates,
                                   extract_keywords, filter_generic,
                                   keywords_to_tsv, score_tfidf, select_top_k)
 
@@ -160,28 +160,27 @@ class TestExtractAndExport:
             "The lunar rover parks.")
         unfiltered = count_candidates(doc)
         filtered = filter_generic(unfiltered, mini_wordnet)
-        via_extract = extract_keywords(doc, mini_wordnet,
-                                       KeywordConfig(top_k=100))
+        via_extract = extract_keywords(doc, mini_wordnet, top_k=100)
         assert {k.phrase for k in via_extract} == set(filtered)
 
-    def test_config_validation(self):
+    def test_config_validation(self, wn_pipeline, mini_wordnet):
+        doc = wn_pipeline.preprocess("The lunar rover moves.")
         with pytest.raises(ValueError):
-            KeywordConfig(top_k=0)
+            extract_keywords(doc, mini_wordnet, top_k=0)
 
     def test_config_background_texts_feed_idf(self, wn_pipeline,
                                               mini_wordnet):
         doc = wn_pipeline.preprocess(
             "The lunar rover moves. The lunar rover stops.")
-        cfg = KeywordConfig(top_k=5)
-        solo = extract_keywords(doc, mini_wordnet, cfg)
+        solo = extract_keywords(doc, mini_wordnet, top_k=5)
         with_bg = extract_keywords(
-            doc, mini_wordnet, cfg,
+            doc, mini_wordnet, top_k=5,
             background_docs=[wn_pipeline.preprocess("A lunar rover waits here.")])
         assert solo[0].idf == 1.0
         assert with_bg[0].idf == 1.0  # phrase present in both documents
         assert with_bg[0].phrase == "lunar rover"
         boosted = extract_keywords(
-            doc, mini_wordnet, cfg,
+            doc, mini_wordnet, top_k=5,
             background_docs=[wn_pipeline.preprocess("Unrelated text.")])
         assert boosted[0].idf > 1.0
 

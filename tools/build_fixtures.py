@@ -786,14 +786,14 @@ RT_SUBCAT_NAMES = [
 
 def build_railway_graph(wikiharvest_mods) -> dict:
     (Pipeline, load_wordnet, make_lemmatizer, extract_keywords,
-     KeywordConfig, title_overlap, FakeWiki) = wikiharvest_mods
+     title_overlap, FakeWiki) = wikiharvest_mods
 
     lexicon = load_wordnet(FIXTURES / "wordnet_mini")
     pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
 
     rs_text = FIXTURES.joinpath("railway_rs.txt").read_text("utf-8")
     doc = pipeline.preprocess(rs_text, source_id="railway_rs.txt")
-    kws = extract_keywords(doc, lexicon, KeywordConfig(top_k=50))
+    kws = extract_keywords(doc, lexicon, top_k=50)
     phrases = [kw.phrase for kw in kws]
     assert len(phrases) == 50, f"expected 50 keywords, got {len(phrases)}"
     missing = [p for p in SEARCH_PLAN if p not in phrases]
@@ -883,13 +883,10 @@ def build_railway_graph(wikiharvest_mods) -> dict:
         wiki.add_search(kw, hits)
 
     # sanity: title overlap holds exactly where designed
-    stop = pipeline.stopwords
-    lemmer = pipeline.lemmatizer
     for kw, hits in SEARCH_PLAN.items():
         for pid in hits:
             art = wiki.articles[pid]
-            ok = title_overlap(art["title"], kw, stopwords=stop,
-                               lemmatizer=lemmer)
+            ok = title_overlap(art["title"], kw, pipeline)
             if kw == "fallback procedure":
                 assert not ok, "fallback procedure should not overlap"
             elif not art["disambiguation"]:
@@ -1036,7 +1033,7 @@ def main() -> None:
     # data files must exist before the package reads them
     from wikiharvest.preprocess import Pipeline, Token, pos_tag
     from wikiharvest.lexicon import load_wordnet, make_lemmatizer
-    from wikiharvest.keywords import KeywordConfig, extract_keywords
+    from wikiharvest.keywords import extract_keywords
     from wikiharvest.crawler import title_overlap
     from wikiharvest.testing import FakeWiki
     from wikiharvest.corpus import write_corpus
@@ -1049,8 +1046,8 @@ def main() -> None:
     build_golden(pos_tag, Token)
 
     railway = build_railway_graph((Pipeline, load_wordnet, make_lemmatizer,
-                                   extract_keywords, KeywordConfig,
-                                   title_overlap, FakeWiki))
+                                   extract_keywords, title_overlap,
+                                   FakeWiki))
 
     lexicon = load_wordnet(FIXTURES / "wordnet_mini")
     pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
