@@ -9,8 +9,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import Iterator, NoReturn, Optional, Sequence
 
 import click
 
@@ -59,11 +60,16 @@ def _fail(message: str) -> NoReturn:
     sys.exit(1)
 
 
-def _load_wordnet_or_usage(wordnet_dir: Path):
+@contextmanager
+def _exit_codes() -> Iterator[None]:
+    """A missing WordNet file is a usage error (exit 2); any other
+    wikiharvest or OS error is a runtime failure (exit 1)."""
     try:
-        return load_wordnet(wordnet_dir)
+        yield
     except MissingFile as exc:
         raise click.UsageError(f"--wordnet: {exc}")
+    except (WikiHarvestError, OSError) as exc:
+        _fail(str(exc))
 
 
 def _read_utf8(path: Path) -> str:
@@ -71,6 +77,19 @@ def _read_utf8(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         _fail(f"{path}: not valid UTF-8 ({exc})")
+
+
+def _keywords(rs_bytes: bytes, rs_name: str, wordnet_dir: Path,
+              background_paths: Sequence[Path], top_k: int):
+    """Load WordNet, preprocess the RS and the backgrounds, extract the
+    top-K keywords.  Returns the lexicon, the pipeline and the keywords."""
+    lexicon = load_wordnet(wordnet_dir)
+    pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
+    doc = pipeline.preprocess(rs_bytes, source_id=rs_name)
+    backgrounds = [pipeline.preprocess(p.read_bytes(), source_id=str(p))
+                   for p in background_paths]
+    return lexicon, pipeline, extract_keywords(doc, lexicon, backgrounds,
+                                               top_k=top_k)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +119,8 @@ def run_mine(input_rs: Path,
     rs_bytes = input_rs.read_bytes()
     rs_hash = hashlib.sha256(rs_bytes).hexdigest()
 
-    lexicon = load_wordnet(wordnet_dir)
-    pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
-    doc = pipeline.preprocess(rs_bytes, source_id=str(input_rs))
-    backgrounds = [pipeline.preprocess(p.read_bytes(), source_id=str(p))
-                   for p in background_paths]
-
-    kws = extract_keywords(doc, lexicon, backgrounds, top_k=top_k)
+    lexicon, pipeline, kws = _keywords(rs_bytes, str(input_rs), wordnet_dir,
+                                       background_paths, top_k)
     echo(f"# keywords: {len(kws)}")
     echo(keywords_to_tsv(kws), nl=False)
 
@@ -181,15 +195,11 @@ def run_mine(input_rs: Path,
 def mine(input_rs, out_dir, top_k, depth, wordnet_dir, background_paths,
          offline, cache_dir, max_articles, endpoint, user_agent, workers):
     """Mine a domain-specific corpus from one requirements specification."""
-    try:
+    with _exit_codes():
         run_mine(input_rs, out_dir, wordnet_dir, top_k=top_k, depth=depth,
                  background_paths=background_paths, offline=offline,
                  cache_dir=cache_dir, max_articles=max_articles,
                  endpoint=endpoint, user_agent=user_agent, workers=workers)
-    except MissingFile as exc:
-        raise click.UsageError(f"--wordnet: {exc}")
-    except (WikiHarvestError, OSError) as exc:
-        _fail(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +220,10 @@ def mine(input_rs, out_dir, top_k, depth, wordnet_dir, background_paths,
               help="Background document for IDF (repeatable).")
 def keywords_cmd(input_rs, top_k, wordnet_dir, background_paths):
     """Print the top-K keyword table (TSV: phrase, tf, idf, score)."""
-    try:
-        lexicon = _load_wordnet_or_usage(wordnet_dir)
-        pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
-        doc = pipeline.preprocess(input_rs.read_bytes(),
-                                  source_id=str(input_rs))
-        backgrounds = [pipeline.preprocess(p.read_bytes(), source_id=str(p))
-                       for p in background_paths]
-        kws = extract_keywords(doc, lexicon, backgrounds, top_k=top_k)
+    with _exit_codes():
+        _, _, kws = _keywords(input_rs.read_bytes(), str(input_rs),
+                              wordnet_dir, background_paths, top_k)
         click.echo(keywords_to_tsv(kws), nl=False)
-    except (WikiHarvestError, OSError) as exc:
-        _fail(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def keywords_cmd(input_rs, top_k, wordnet_dir, background_paths):
               help="Write the JSON report here instead of stdout.")
 def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
     """Score each corpus article against a held-out RS (cosine similarity)."""
-    try:
+    with _exit_codes():
         corp = load_corpus(corpus_dir)
         table = load_vectors(vectors_path)
         report = evaluate(corp, _read_utf8(test_rs), table)
@@ -255,8 +258,6 @@ def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
         else:
             click.echo(report.to_json(), nl=False)
             click.echo(summary, err=True)
-    except (WikiHarvestError, OSError) as exc:
-        _fail(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +275,14 @@ def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
               help="Optional WordNet directory for lemma-level counting.")
 def report_cmd(corpus_dir, top_n, wordnet_dir):
     """Print the corpus term-frequency table (TSV: term, count)."""
-    try:
+    with _exit_codes():
         pipeline = None
         if wordnet_dir is not None:
             pipeline = Pipeline(lemmatizer=make_lemmatizer(
-                _load_wordnet_or_usage(wordnet_dir)))
+                load_wordnet(wordnet_dir)))
         corp = load_corpus(corpus_dir)
         rep = frequency_report(corp, top_n, pipeline)
         click.echo(rep.to_tsv(), nl=False)
-    except (WikiHarvestError, OSError) as exc:
-        _fail(str(exc))
 
 
 if __name__ == "__main__":

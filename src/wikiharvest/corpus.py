@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
+import uuid
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -92,6 +92,22 @@ def _created_at_now() -> str:
         "%Y-%m-%dT%H:%M:%SZ")
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through a uniquely named temp file and a
+    rename, so readers never see a half-written file.  The temp file gets
+    mode 0o666 less the umask, like any new file, and is removed if the
+    write or the rename fails."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
                  out_dir: str | Path,
                  *,
@@ -137,15 +153,7 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
         tool_version=__version__,
         wordnet_version=wordnet_version,
     )
-    fd, tmp_name = tempfile.mkstemp(dir=out, prefix=".manifest-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
-        os.replace(tmp_name, out / MANIFEST_NAME)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    write_text_atomic(out / MANIFEST_NAME, manifest.to_json())
     listed = {entry["relative_path"] for entry in entries}
     for path in articles_dir.iterdir():
         if f"{ARTICLES_DIR}/{path.name}" not in listed and path.is_file():

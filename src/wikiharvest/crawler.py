@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import hashlib
 import logging
-import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,8 +27,9 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import urlencode
 
 from . import __version__
+from .corpus import write_text_atomic
 from .errors import WikiHarvestError
-from .preprocess import NOUN, Pipeline, default_pipeline
+from .preprocess import NOUN, Pipeline, content_tokens, default_pipeline
 
 log = logging.getLogger(__name__)
 
@@ -219,15 +218,9 @@ class CachedTransport:
         if "error" in data:
             raise ApiError(f"{url}: {data['error']}")
         if path is not None:
-            self._write_cache(path, data)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_text_atomic(path, json.dumps(data))
         return data
-
-    def _write_cache(self, path: Path, data: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
 
     def _polite_wait(self) -> None:
         """Reserve the next request slot under the lock, then sleep until it."""
@@ -277,8 +270,8 @@ class CachedTransport:
 
 
 def _head_lemmatized(text: str, pipeline: Pipeline) -> set[str]:
-    """The pipeline's content tokens, the last (head) one as a noun lemma."""
-    words = pipeline.content_tokens(text)
+    """Content tokens, the last (head) one as the pipeline's noun lemma."""
+    words = content_tokens(text)
     if words and pipeline.lemmatizer is not None:
         words[-1] = pipeline.lemmatizer(words[-1], NOUN) or words[-1]
     return set(words)

@@ -8,8 +8,10 @@ deterministic: a curated most-frequent-tag lexicon with suffix fallbacks
 does the tagging, and noun phrases are maximal matches of the grammar
 ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``.
 
-All functions are pure; a configured :class:`Pipeline` is immutable and
-safe to share between threads.
+The bundled word lists (stopwords, abbreviations, tag lexicon) are the
+only configuration; a :class:`Pipeline` adds an optional lemmatizer.
+All functions are pure; a :class:`Pipeline` is immutable and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import WikiHarvestError
 
@@ -58,10 +60,6 @@ class Token:
     lemma: str = ""
     is_stopword: bool = False
 
-    @property
-    def char_span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 @dataclass(frozen=True)
 class Sentence:
@@ -74,12 +72,10 @@ class Sentence:
 class NounPhrase:
     surface: str
     normalized: str
-    token_count: int
 
 
 @dataclass(frozen=True)
 class PreprocessedDoc:
-    source_id: str
     sentences: tuple[Sentence, ...]
     noun_phrases: tuple[NounPhrase, ...]
 
@@ -103,9 +99,9 @@ def default_stopwords() -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
-def default_abbreviations() -> tuple[str, ...]:
+def default_abbreviations() -> frozenset[str]:
     """Abbreviations whose trailing period never ends a sentence."""
-    return _read_data_lines("abbreviations.txt")
+    return frozenset(_read_data_lines("abbreviations.txt"))
 
 
 @lru_cache(maxsize=None)
@@ -123,36 +119,34 @@ def default_tag_lexicon() -> Mapping[str, str]:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_WORD_RE = r"[A-Za-z]+(?:['\-][A-Za-z]+)*"
+# Words are runs of Unicode letters, i.e. word characters other than
+# digits and "_" (UAX #29, https://unicode.org/reports/tr29/).
+_WORD_RE = r"[^\W\d_]+(?:['\-][^\W\d_]+)*"
 _NUMBER_RE = r"\d+(?:[.,]\d+)*"
 
 
-@lru_cache(maxsize=8)
-def _token_regex(abbreviations: tuple[str, ...]) -> re.Pattern[str]:
-    parts = []
-    if abbreviations:
-        escaped = sorted((re.escape(a) for a in abbreviations), key=len, reverse=True)
-        parts.append("(?:%s)" % "|".join(escaped))
-    parts.extend([_NUMBER_RE, _WORD_RE, r"\S"])
-    return re.compile("|".join(parts))
+@lru_cache(maxsize=None)
+def _token_regex() -> re.Pattern[str]:
+    """Abbreviations (longest first), numbers, words, any other character."""
+    abbreviations = sorted(default_abbreviations(), key=lambda a: (-len(a), a))
+    return re.compile("|".join([
+        "(?:%s)" % "|".join(map(re.escape, abbreviations)),
+        _NUMBER_RE, _WORD_RE, r"\S"]))
 
 
-def tokenize(text: str, abbreviations: Sequence[str] | None = None) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Split text into tokens covering every non-whitespace character.
 
     Punctuation marks become single-character tokens; listed abbreviations
     (e.g. "e.g.") keep their periods attached.
     """
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
-    return [Token(*span) for span in _token_spans(text, abbreviations)]
+    return [Token(*span) for span in _token_spans(text)]
 
 
-def _token_spans(text: str,
-                 abbreviations: Sequence[str]) -> list[tuple[str, int, int]]:
+def _token_spans(text: str) -> list[tuple[str, int, int]]:
     """``(surface, start, end)`` of every token; no `Token` is built."""
-    rx = _token_regex(tuple(abbreviations))
-    return [(m.group(), m.start(), m.end()) for m in rx.finditer(text)]
+    return [(m.group(), m.start(), m.end())
+            for m in _token_regex().finditer(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +157,7 @@ _PARAGRAPH_GAP_RE = re.compile(r"\n[ \t\r]*\n")
 
 
 def _is_sentence_break(text: str, prev: tuple[str, int, int],
-                       nxt: tuple[str, int, int],
-                       abbreviations: frozenset[str]) -> bool:
+                       nxt: tuple[str, int, int]) -> bool:
     prev_surface, _, prev_end = prev
     surface, start, _ = nxt
     gap = text[prev_end:start]
@@ -172,7 +165,7 @@ def _is_sentence_break(text: str, prev: tuple[str, int, int],
         return True
     if not _TERMINATOR_RE.search(prev_surface):
         return False
-    if prev_surface in abbreviations:
+    if prev_surface in default_abbreviations():
         return False
     if not gap or not gap.isspace():
         return False
@@ -180,31 +173,28 @@ def _is_sentence_break(text: str, prev: tuple[str, int, int],
     return first.isupper() or first.isdigit()
 
 
-def _sentence_bounds(text: str, spans: Sequence[tuple[str, int, int]],
-                     abbreviations: frozenset[str]) -> Iterator[tuple[int, int]]:
+def _sentence_bounds(text: str, spans: Sequence[tuple[str, int, int]]
+                     ) -> Iterator[tuple[int, int]]:
     """Index ranges ``[i, j)`` of `spans` that form one sentence each."""
     first = 0
     for k in range(1, len(spans)):
-        if _is_sentence_break(text, spans[k - 1], spans[k], abbreviations):
+        if _is_sentence_break(text, spans[k - 1], spans[k]):
             yield first, k
             first = k
     if spans:
         yield first, len(spans)
 
 
-def split_sentences(text: str,
-                    abbreviations: Sequence[str] | None = None) -> list[Sentence]:
+def split_sentences(text: str) -> list[Sentence]:
     """Group text into sentences.
 
     A run of ``.!?`` followed by whitespace and an upper-case letter or
     digit ends a sentence, unless the preceding token is a known
     abbreviation; blank lines always end one.
     """
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
-    spans = _token_spans(text, abbreviations)
+    spans = _token_spans(text)
     return [_make_sentence(text, tuple(Token(*span) for span in spans[i:j]))
-            for i, j in _sentence_bounds(text, spans, frozenset(abbreviations))]
+            for i, j in _sentence_bounds(text, spans)]
 
 
 def _make_sentence(text: str, toks: tuple[Token, ...]) -> Sentence:
@@ -251,11 +241,11 @@ _NO_ALNUM_RE = re.compile(r"^[^\w]+$", re.UNICODE)
 _STEM_RULES = (("ies", "y", 5), ("es", "", 4), ("s", "", 3))
 
 
-def _stem_lookup(lower: str, tag_lexicon: Mapping[str, str]) -> Optional[str]:
+def _stem_lookup(lower: str) -> Optional[str]:
     """Lexicon tag of a plural/3rd-person form via naive s-stripping."""
     for suffix, replacement, shortest in _STEM_RULES:
         if lower.endswith(suffix) and len(lower) >= shortest:
-            tag = tag_lexicon.get(lower[:-len(suffix)] + replacement)
+            tag = default_tag_lexicon().get(lower[:-len(suffix)] + replacement)
             if tag:
                 return tag
     return None
@@ -283,21 +273,18 @@ def _suffix_tag(lower: str, prev_tag: str) -> str:
     return NOUN
 
 
-def pos_tag(sentence_tokens: Sequence[Token],
-            tag_lexicon: Mapping[str, str] | None = None) -> list[Token]:
+def pos_tag(sentence_tokens: Sequence[Token]) -> list[Token]:
     """Assign one coarse tag to every token; tagging is total."""
-    if tag_lexicon is None:
-        tag_lexicon = default_tag_lexicon()
-    tagged = _tag_sentence([t.surface for t in sentence_tokens], tag_lexicon,
-                           None, frozenset())
+    tagged = _tag_sentence([t.surface for t in sentence_tokens], None)
     return [replace(tok, pos=pos)
             for tok, (pos, _lemma, _stop) in zip(sentence_tokens, tagged)]
 
 
-def _tag_sentence(words: Sequence[str], tag_lexicon: Mapping[str, str],
-                  lemmatizer: Lemmatizer | None,
-                  stopwords: frozenset[str]) -> list[tuple[str, str, bool]]:
+def _tag_sentence(words: Sequence[str],
+                  lemmatizer: Lemmatizer | None) -> list[tuple[str, str, bool]]:
     """``(pos, lemma, is_stopword)`` of every word of one sentence."""
+    tag_lexicon = default_tag_lexicon()
+    stopwords = default_stopwords()
     tagged: list[tuple[str, str, bool]] = []
     prev_tag = ""
     for i, surface in enumerate(words):
@@ -311,7 +298,7 @@ def _tag_sentence(words: Sequence[str], tag_lexicon: Mapping[str, str],
             if tag is None:
                 tag = tag_lexicon.get(lower)
             if tag is None:
-                tag = _stem_lookup(lower, tag_lexicon)
+                tag = _stem_lookup(lower)
             if tag is None:
                 if i > 0 and surface[:1].isupper():
                     tag = PROPN
@@ -367,16 +354,14 @@ def _normalize_np(tokens: Sequence[Token],
 
 
 def chunk_noun_phrases(tagged_sentence: Sequence[Token],
-                       lemmatizer: Lemmatizer | None = None,
-                       stopwords: frozenset[str] | None = None) -> list[NounPhrase]:
+                       lemmatizer: Lemmatizer | None = None) -> list[NounPhrase]:
     """Maximal noun phrases of a tagged sentence.
 
     Matches ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``, then strips the
     determiner and boundary stopwords and lemmatizes the head noun.
-    Stopword flags are set from `stopwords` before matching.
+    Stopword flags are set from the bundled list before matching.
     """
-    if stopwords is None:
-        stopwords = default_stopwords()
+    stopwords = default_stopwords()
     return _chunk([replace(t, is_stopword=t.surface.lower() in stopwords)
                    for t in tagged_sentence], lemmatizer)
 
@@ -404,7 +389,6 @@ def _chunk(toks: Sequence[Token],
             phrases.append(NounPhrase(
                 surface=" ".join(t.surface for t in span),
                 normalized=normalized,
-                token_count=len(span),
             ))
         i = last_head + 1
     return phrases
@@ -414,39 +398,29 @@ def _chunk(toks: Sequence[Token],
 # pipeline
 
 
+@dataclass(frozen=True)
 class Pipeline:
-    """Configured preprocessor.
+    """Preprocessor with an optional lemmatizer.
 
     Tokenizes, splits sentences, tags each sentence in one pass (POS tag,
-    lemma, stopword flag) and chunks noun phrases.  Configuration is read
-    once at construction; instances are immutable and thread-safe.
+    lemma, stopword flag) and chunks noun phrases.  Without a lemmatizer
+    a lemma is the lowercased surface.
     """
 
-    def __init__(self,
-                 stopwords: Iterable[str] | None = None,
-                 abbreviations: Sequence[str] | None = None,
-                 tag_lexicon: Mapping[str, str] | None = None,
-                 lemmatizer: Lemmatizer | None = None):
-        self.stopwords = (frozenset(w.lower() for w in stopwords)
-                          if stopwords is not None else default_stopwords())
-        self.abbreviations = (tuple(abbreviations) if abbreviations is not None
-                              else default_abbreviations())
-        self.tag_lexicon = (dict(tag_lexicon) if tag_lexicon is not None
-                            else default_tag_lexicon())
-        self.lemmatizer = lemmatizer
+    lemmatizer: Lemmatizer | None = None
 
     def _tagged_sentences(self, text: str) -> Iterator[tuple[
             list[tuple[str, int, int]], list[tuple[str, str, bool]]]]:
         """Each sentence's token spans and ``(pos, lemma, is_stopword)``."""
-        spans = _token_spans(text, self.abbreviations)
-        for i, j in _sentence_bounds(text, spans, frozenset(self.abbreviations)):
+        spans = _token_spans(text)
+        for i, j in _sentence_bounds(text, spans):
             sentence = spans[i:j]
             yield sentence, _tag_sentence([s for s, _, _ in sentence],
-                                          self.tag_lexicon, self.lemmatizer,
-                                          self.stopwords)
+                                          self.lemmatizer)
 
     def preprocess(self, text: str | bytes, source_id: str = "") -> PreprocessedDoc:
-        """Run the full pipeline over one document."""
+        """Run the full pipeline over one document; `source_id` names it in
+        an :class:`InvalidEncoding` error."""
         if isinstance(text, bytes):
             try:
                 text = text.decode("utf-8")
@@ -464,11 +438,8 @@ class Pipeline:
                 in zip(spans, tagged))
             sentences.append(_make_sentence(text, tokens))
             noun_phrases.extend(_chunk(tokens, self.lemmatizer))
-        return PreprocessedDoc(source_id=source_id,
-                               sentences=tuple(sentences),
+        return PreprocessedDoc(sentences=tuple(sentences),
                                noun_phrases=tuple(noun_phrases))
-
-    __call__ = preprocess
 
     def tagged_lemmas(self, text: str) -> Iterator[tuple[str, str, bool]]:
         """``(pos, lemma, is_stopword)`` of every token, in order: what
@@ -477,21 +448,18 @@ class Pipeline:
                 unicodedata.normalize("NFC", text)):
             yield from tagged
 
-    def content_tokens(self, text: str) -> list[str]:
-        """Lowercased non-stopword word tokens (no tagging), for embeddings."""
-        words = (surface.lower() for surface, _start, _end in _token_spans(
-            unicodedata.normalize("NFC", text), self.abbreviations))
-        return [word for word in words if any(c.isalpha() for c in word)
-                and word not in self.stopwords]
-
 
 @lru_cache(maxsize=None)
 def default_pipeline() -> Pipeline:
-    """The shared pipeline: bundled data files, no lemmatizer."""
+    """The shared pipeline: no lemmatizer."""
     return Pipeline()
 
 
-def preprocess_document(text: str | bytes, source_id: str = "",
-                        pipeline: Pipeline | None = None) -> PreprocessedDoc:
-    """Preprocess one document with the given (or default) pipeline."""
-    return (pipeline or default_pipeline()).preprocess(text, source_id)
+def content_tokens(text: str) -> list[str]:
+    """Lowercased non-stopword word tokens (no tagging), for embeddings and
+    title matching."""
+    stopwords = default_stopwords()
+    words = (surface.lower() for surface, _start, _end
+             in _token_spans(unicodedata.normalize("NFC", text)))
+    return [word for word in words if any(c.isalpha() for c in word)
+            and word not in stopwords]

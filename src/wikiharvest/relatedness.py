@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .corpus import Corpus
 from .errors import WikiHarvestError
-from .preprocess import Pipeline, default_pipeline
+from .preprocess import content_tokens
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,10 +43,6 @@ class EmptyCorpus(WikiHarvestError):
 class EmbeddingTable:
     dimension: int
     vectors: Mapping[str, np.ndarray]
-    source: str = ""
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
 
 
 @dataclass(frozen=True)
@@ -106,27 +102,23 @@ def load_vectors(path: str | Path) -> EmbeddingTable:
                 raise InconsistentDimension(
                     f"{path}:{lineno}: dimension {vec.shape[0]} != {dimension}")
             vectors.setdefault(token, vec)
-    return EmbeddingTable(dimension=dimension, vectors=vectors,
-                          source=str(path))
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
-def embed_document(text: str, table: EmbeddingTable,
-                   pipeline: Pipeline | None = None) -> np.ndarray:
+def embed_document(text: str, table: EmbeddingTable) -> np.ndarray:
     """Mean vector of the in-vocabulary content tokens of `text`."""
-    vec, _, _ = embed_document_with_stats(text, table, pipeline)
+    vec, _, _ = embed_document_with_stats(text, table)
     return vec
 
 
-def embed_document_with_stats(text: str, table: EmbeddingTable,
-                              pipeline: Pipeline | None = None,
+def embed_document_with_stats(text: str, table: EmbeddingTable
                               ) -> tuple[np.ndarray, int, int]:
     """Embedding plus (in-vocabulary, out-of-vocabulary) token counts."""
     import numpy as np
-    pipeline = pipeline or default_pipeline()
     total = np.zeros(table.dimension, dtype=np.float64)
     in_vocab = 0
     oov = 0
-    for token in pipeline.content_tokens(text):
+    for token in content_tokens(text):
         vec = table.vectors.get(token)
         if vec is None:
             oov += 1
@@ -158,20 +150,18 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def evaluate(corpus: Corpus, test_rs_text: str, table: EmbeddingTable,
-             pipeline: Pipeline | None = None) -> RelatednessReport:
+def evaluate(corpus: Corpus, test_rs_text: str,
+             table: EmbeddingTable) -> RelatednessReport:
     """Cosine of every corpus article against the test RS, with aggregates."""
-    pipeline = pipeline or default_pipeline()
     if len(corpus) == 0:
         raise EmptyCorpus("corpus has no articles")
-    rs_vec, in_vocab, oov = embed_document_with_stats(
-        test_rs_text, table, pipeline)
+    rs_vec, in_vocab, oov = embed_document_with_stats(test_rs_text, table)
     considered = in_vocab + oov
     oov_rate = oov / considered if considered else 0.0
 
     per_article = []
     for page_id, _title, text in corpus:
-        art_vec = embed_document(text, table, pipeline)
+        art_vec = embed_document(text, table)
         per_article.append((page_id, cosine(rs_vec, art_vec)))
     per_article.sort(key=lambda item: item[0])
     scores = [score for _pid, score in per_article]

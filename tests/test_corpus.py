@@ -1,13 +1,17 @@
 """Corpus persistence, integrity checking, and frequency reports."""
 
 import json
+import os
+import stat
 
 import pytest
 
 from wikiharvest.corpus import (DuplicatePageId, IntegrityError,
                                 ManifestMissing, frequency_report,
-                                load_corpus, write_corpus)
+                                load_corpus, write_corpus, write_text_atomic)
+from wikiharvest.crawler import CachedTransport
 from wikiharvest.keywords import Keyword
+from wikiharvest.testing import FakeWiki
 
 
 SAMPLE = [
@@ -55,6 +59,34 @@ class TestWriteCorpus:
             ["1.txt"]
         assert [e["page_id"] for e in manifest.articles] == [1]
         assert [text for _pid, _t, text in load_corpus(out)] == ["one"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_manifest_and_cache_files_honour_umask(self, tmp_path, umask,
+                                                   mode):
+        wiki = FakeWiki()
+        wiki.add_article(1, "Rail transport", text="Rail.")
+        transport = CachedTransport(cache_dir=tmp_path / "cache",
+                                    fetcher=wiki.fetcher(), request_delay_ms=0)
+        old = os.umask(umask)
+        try:
+            write_corpus(SAMPLE, tmp_path / "c")
+            transport.get({"action": "query", "format": "json",
+                           "formatversion": "2", "prop": "extracts",
+                           "explaintext": "1", "redirects": "1",
+                           "pageids": "1"})
+        finally:
+            os.umask(old)
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(files) == 1 + len(SAMPLE) + 1
+        assert not [p for p in files if p.name.endswith(".tmp")]
+        assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}
+
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "manifest.json"
+        target.mkdir()   # the rename onto a directory fails
+        with pytest.raises(OSError):
+            write_text_atomic(target, "{}")
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_source_date_epoch_pins_timestamp(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

@@ -73,6 +73,10 @@ class TestTitleOverlap:
     def test_head_lemmatization(self, wn_pipeline):
         assert title_overlap("Lunar rovers", "the lunar rover", wn_pipeline)
 
+    def test_non_ascii_word_is_one_token(self):
+        assert title_overlap("Zürich", "zürich tram network")
+        assert not title_overlap("Zürich", "rich tram")
+
 
 class TestCanonicalUrl:
     def test_sorted_params(self):

@@ -184,6 +184,14 @@ class TestExtractAndExport:
             background_docs=[wn_pipeline.preprocess("Unrelated text.")])
         assert boosted[0].idf > 1.0
 
+    def test_non_ascii_phrase_kept_whole(self, wn_pipeline, mini_wordnet):
+        doc = wn_pipeline.preprocess(
+            "The Zürich tram network shall connect every district.\n"
+            "The Zürich tram network shall report each fault.\n"
+            "The signal box shall protect the tram depot.\n")
+        phrases = [kw.phrase for kw in extract_keywords(doc, mini_wordnet)]
+        assert phrases[0] == "zürich tram network"
+
     def test_tsv_format(self):
         kws = [Keyword("lunar rover", 2, 1.0, 2.0)]
         assert keywords_to_tsv(kws) == "lunar rover\t2\t1.0\t2.0\n"

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from wikiharvest.preprocess import (ADJ, ADV, DET, NOUN, PUNCT, VERB,
                                     COARSE_TAGS, InvalidEncoding, Pipeline,
-                                    Token, chunk_noun_phrases,
-                                    default_stopwords, lemmatize, pos_tag,
-                                    preprocess_document, split_sentences,
+                                    Token, chunk_noun_phrases, content_tokens,
+                                    default_pipeline, default_stopwords,
+                                    lemmatize, pos_tag, split_sentences,
                                     tokenize)
 
 
@@ -41,7 +41,7 @@ PIECES = ["The", "the", "a", "lunar", "rover", "Rovers", "rovers", "stops",
           "communications", "transmitted", "signalling", "is", "applied",
           "other", "trains", "Train", "quickly", "brake", "e.g.", "Mr.",
           "fig.", "3.5", "42", ".", "!", "?", ",", "-", "'", "Zürich",
-          "Café", "cafe\u0301"]
+          "Café", "cafe\u0301", "Łódź", "Москва", "São", "l'école"]
 generated_texts = st.lists(
     st.tuples(st.one_of(st.sampled_from(PIECES),
                         st.text(alphabet="abXY.,!?'-07 é", min_size=1,
@@ -55,9 +55,9 @@ def reference_sentences(text, pipeline):
     text = unicodedata.normalize("NFC", text)
     return [tuple(replace(t, lemma=lemmatize(t.surface, t.pos,
                                              pipeline.lemmatizer),
-                          is_stopword=t.surface.lower() in pipeline.stopwords)
-                  for t in pos_tag(sent.tokens, pipeline.tag_lexicon))
-            for sent in split_sentences(text, pipeline.abbreviations)]
+                          is_stopword=t.surface.lower() in default_stopwords())
+                  for t in pos_tag(sent.tokens))
+            for sent in split_sentences(text)]
 
 
 def check_single_pass(text, pipeline):
@@ -66,11 +66,13 @@ def check_single_pass(text, pipeline):
     assert [s.tokens for s in doc.sentences] == expected
     assert list(doc.noun_phrases) == [
         np for sent in expected
-        for np in chunk_noun_phrases(sent, pipeline.lemmatizer,
-                                     pipeline.stopwords)]
+        for np in chunk_noun_phrases(sent, pipeline.lemmatizer)]
     assert list(pipeline.tagged_lemmas(text)) == [
         (t.pos, t.lemma, t.is_stopword)
         for s in doc.sentences for t in s.tokens]
+    assert content_tokens(text) == [
+        t.surface.lower() for s in doc.sentences for t in s.tokens
+        if any(c.isalpha() for c in t.surface) and not t.is_stopword]
 
 
 class TestTokenize:
@@ -101,6 +103,16 @@ class TestTokenize:
                 covered[i] = True
         for i, ch in enumerate(text):
             assert covered[i] == (not ch.isspace())
+
+    @pytest.mark.parametrize("text, words", [
+        ("Zürich", ["Zürich"]), ("Łódź", ["Łódź"]), ("Москва", ["Москва"]),
+        ("São Paulo", ["São", "Paulo"]), ("l'école", ["l'école"])])
+    def test_non_ascii_words_stay_whole(self, text, words):
+        assert surfaces(tokenize(text)) == words
+
+    def test_content_tokens_keep_non_ascii_words(self):
+        assert content_tokens("The Zürich tram of São Paulo") == \
+            ["zürich", "tram", "são", "paulo"]
 
     @given(st.text(alphabet=string.printable, max_size=200))
     @settings(max_examples=200)
@@ -236,16 +248,16 @@ class TestChunker:
         assert "lunar rover" in self.nps("The lunar rovers stop.", wn_pipeline)
 
     def test_boundary_stopwords_stripped(self):
-        stop = default_stopwords()
+        assert "other" in default_stopwords()
         toks = [
             Token("other", 0, 5, pos=NOUN),
             Token("trains", 6, 12, pos=NOUN),
         ]
-        nps = chunk_noun_phrases(toks, None, stop)
+        nps = chunk_noun_phrases(toks, None)
         assert [np.normalized for np in nps] == ["trains"]
 
     def test_no_boundary_stopwords_invariant(self, wn_pipeline):
-        stop = wn_pipeline.stopwords
+        stop = default_stopwords()
         doc = wn_pipeline.preprocess(
             "The very same brake shall be applied by all other units.")
         for np in doc.noun_phrases:
@@ -279,7 +291,7 @@ class TestPipeline:
 
     def test_stopword_marking(self, wn_pipeline):
         doc = wn_pipeline.preprocess("The brake is applied by the driver.")
-        stop = wn_pipeline.stopwords
+        stop = default_stopwords()
         for sent in doc.sentences:
             for tok in sent.tokens:
                 assert tok.is_stopword == (tok.surface.lower() in stop)
@@ -294,7 +306,7 @@ class TestPipeline:
         assert doc.noun_phrases
 
     def test_default_pipeline_function(self):
-        doc = preprocess_document("A train passes.")
+        doc = default_pipeline().preprocess("A train passes.")
         assert len(doc.sentences) == 1
 
 

@@ -308,11 +308,11 @@ def make_text(rng: random.Random, n_dom: int, n_off: int,
     return " ".join(sentences)
 
 
-def verify_text(pipeline, text: str, n_dom: int, n_off: int,
+def verify_text(content_tokens, text: str, n_dom: int, n_off: int,
                 dom_set: set[str], off_set: set[str]) -> float:
     """Recount table hits in the final text; return the exact cosine."""
     hits_dom = hits_off = hits_other = 0
-    for tok in pipeline.content_tokens(text):
+    for tok in content_tokens(text):
         if tok in dom_set:
             hits_dom += 1
         elif tok in off_set:
@@ -785,8 +785,8 @@ RT_SUBCAT_NAMES = [
 
 
 def build_railway_graph(wikiharvest_mods) -> dict:
-    (Pipeline, load_wordnet, make_lemmatizer, extract_keywords,
-     title_overlap, FakeWiki) = wikiharvest_mods
+    (Pipeline, content_tokens, load_wordnet, make_lemmatizer,
+     extract_keywords, title_overlap, FakeWiki) = wikiharvest_mods
 
     lexicon = load_wordnet(FIXTURES / "wordnet_mini")
     pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
@@ -918,7 +918,7 @@ def build_railway_graph(wikiharvest_mods) -> dict:
         n_dom, n_off = nd * mult, no * mult
         text = make_text(text_rng, n_dom, n_off, RAIL_WEIGHTS,
                          RAIL_OFF_POOL, force_first="rail")
-        cosines[pid] = verify_text(pipeline, text, n_dom, n_off,
+        cosines[pid] = verify_text(content_tokens, text, n_dom, n_off,
                                    dom_set, off_set)
         wiki.articles[pid]["text"] = text
 
@@ -928,7 +928,7 @@ def build_railway_graph(wikiharvest_mods) -> dict:
     # recorded relatedness stats for the railway corpus (independent math)
     scores = [cosines[pid] for pid in ordered]
     test_rs = FIXTURES.joinpath("railway_test_rs.txt").read_text("utf-8")
-    rs_tokens = pipeline.content_tokens(test_rs)
+    rs_tokens = content_tokens(test_rs)
     in_table = sum(1 for t in rs_tokens if t in TABLE_TOKENS)
     stray = [t for t in rs_tokens
              if t in TABLE_TOKENS and t not in dom_set]
@@ -975,7 +975,7 @@ TRANS_ARTICLES = [
 ]
 
 
-def build_transport_corpus(pipeline, write_corpus) -> dict:
+def build_transport_corpus(content_tokens, write_corpus) -> dict:
     out = FIXTURES / "transport_corpus"
     dom_set, off_set = set(TRANS_POOL), set(TRANS_OFF_POOL)
     buckets = list(TRANS_BUCKETS)
@@ -988,7 +988,7 @@ def build_transport_corpus(pipeline, write_corpus) -> dict:
         n_dom, n_off = nd * mult, no * mult
         text = make_text(text_rng, n_dom, n_off, TRANS_WEIGHTS,
                          TRANS_OFF_POOL, force_first="traffic")
-        cosines.append(verify_text(pipeline, text, n_dom, n_off,
+        cosines.append(verify_text(content_tokens, text, n_dom, n_off,
                                    dom_set, off_set))
         entries.append((pid, title, text))
 
@@ -996,7 +996,7 @@ def build_transport_corpus(pipeline, write_corpus) -> dict:
                  created_at="2026-01-15T00:00:00Z")
 
     test_rs = FIXTURES.joinpath("transport_test_rs.txt").read_text("utf-8")
-    rs_tokens = pipeline.content_tokens(test_rs)
+    rs_tokens = content_tokens(test_rs)
     in_table = sum(1 for t in rs_tokens if t in TABLE_TOKENS)
     stray = [t for t in rs_tokens
              if t in TABLE_TOKENS and t not in dom_set]
@@ -1031,7 +1031,7 @@ def main() -> None:
     write_rs_files()
 
     # data files must exist before the package reads them
-    from wikiharvest.preprocess import Pipeline, Token, pos_tag
+    from wikiharvest.preprocess import Pipeline, Token, content_tokens, pos_tag
     from wikiharvest.lexicon import load_wordnet, make_lemmatizer
     from wikiharvest.keywords import extract_keywords
     from wikiharvest.crawler import title_overlap
@@ -1045,13 +1045,10 @@ def main() -> None:
 
     build_golden(pos_tag, Token)
 
-    railway = build_railway_graph((Pipeline, load_wordnet, make_lemmatizer,
-                                   extract_keywords, title_overlap,
-                                   FakeWiki))
-
-    lexicon = load_wordnet(FIXTURES / "wordnet_mini")
-    pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
-    transport = build_transport_corpus(pipeline, write_corpus)
+    railway = build_railway_graph((Pipeline, content_tokens, load_wordnet,
+                                   make_lemmatizer, extract_keywords,
+                                   title_overlap, FakeWiki))
+    transport = build_transport_corpus(content_tokens, write_corpus)
 
     recorded = {"railway": railway, "transportation": transport}
     FIXTURES.joinpath("recorded.json").write_text(
