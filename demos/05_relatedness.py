@@ -7,14 +7,19 @@ from pathlib import Path
 
 from wikiharvest.corpus import load_corpus
 from wikiharvest.relatedness import (cosine, embed_document,
-                                     embed_document_with_stats, evaluate,
-                                     load_vectors)
+                                     embed_document_with_stats, eval_texts,
+                                     evaluate, load_vectors)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-table = load_vectors(FIXTURES / "vectors_toy.txt")
-print(f"embedding table: {len(table.vectors)} tokens, "
-      f"dimension {table.dimension}")
+# Tokenize the corpus and the held-out RS once; the vector file is then
+# read in full and checked, but only the rows of their words are kept.
+corpus = load_corpus(FIXTURES / "transport_corpus")
+test_rs = (FIXTURES / "transport_test_rs.txt").read_text("utf-8")
+texts = eval_texts(corpus, test_rs)
+table = load_vectors(FIXTURES / "vectors_toy.txt", texts.words)
+print(f"embedding table: {len(table.vectors)} of {len(texts.words)} "
+      f"distinct words kept, dimension {table.dimension}")
 
 # document vectors are plain means of in-vocabulary token vectors
 vec, in_vocab, oov = embed_document_with_stats(
@@ -24,9 +29,7 @@ print(f"sample embedding uses {in_vocab} in-vocabulary tokens "
 same = cosine(vec, embed_document("road traffic", table))
 print(f"cosine against a related snippet: {same:.4f}\n")
 
-corpus = load_corpus(FIXTURES / "transport_corpus")
-test_rs = (FIXTURES / "transport_test_rs.txt").read_text("utf-8")
-report = evaluate(corpus, test_rs, table)
+report = evaluate(texts, table)
 
 print(f"per-article cosine scores against the held-out RS "
       f"({len(report.per_article)} articles):")

@@ -25,7 +25,7 @@ from .errors import WikiHarvestError
 from .keywords import extract_keywords, keywords_to_tsv
 from .lexicon import MissingFile, load_wordnet, make_lemmatizer
 from .preprocess import Pipeline
-from .relatedness import evaluate, load_vectors
+from .relatedness import eval_texts, evaluate, load_vectors
 
 log = logging.getLogger("wikiharvest")
 
@@ -246,9 +246,9 @@ def keywords_cmd(input_rs, top_k, wordnet_dir, background_paths):
 def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
     """Score each corpus article against a held-out RS (cosine similarity)."""
     with _exit_codes():
-        corp = load_corpus(corpus_dir)
-        table = load_vectors(vectors_path)
-        report = evaluate(corp, _read_utf8(test_rs), table)
+        texts = eval_texts(load_corpus(corpus_dir), _read_utf8(test_rs))
+        table = load_vectors(vectors_path, texts.words)
+        report = evaluate(texts, table)
         summary = (f"articles: {len(report.per_article)}  "
                    f"min={report.min:.4f} avg={report.avg:.4f} "
                    f"max={report.max:.4f} oov_rate={report.oov_rate:.4f}")

@@ -120,7 +120,8 @@ def default_tag_lexicon() -> Mapping[str, str]:
 # tokenizer
 
 # Words are runs of Unicode letters, i.e. word characters other than
-# digits and "_" (UAX #29, https://unicode.org/reports/tr29/).
+# digits and "_" (UAX #29, https://unicode.org/reports/tr29/); combining
+# marks are glued on afterwards by `_glue_marks`.
 _WORD_RE = r"[^\W\d_]+(?:['\-][^\W\d_]+)*"
 _NUMBER_RE = r"\d+(?:[.,]\d+)*"
 
@@ -145,8 +146,38 @@ def tokenize(text: str) -> list[Token]:
 
 def _token_spans(text: str) -> list[tuple[str, int, int]]:
     """``(surface, start, end)`` of every token; no `Token` is built."""
-    return [(m.group(), m.start(), m.end())
-            for m in _token_regex().finditer(text)]
+    spans = [(m.group(), m.start(), m.end())
+             for m in _token_regex().finditer(text)]
+    if text.isascii():
+        return spans
+    marks = {m.start() for m in _SYMBOL_RE.finditer(text)
+             if unicodedata.category(m.group()).startswith("M")}
+    return _glue_marks(spans, marks) if marks else spans
+
+
+# A combining mark is neither a word character nor ASCII, so the regex
+# above leaves it alone as a one-character token (re has no \p{M}).
+_SYMBOL_RE = re.compile(r"[^\w\s\x00-\x7f]")
+
+
+def _glue_marks(spans: list[tuple[str, int, int]], marks: set[int]
+                ) -> list[tuple[str, int, int]]:
+    """Glue each combining mark (a start offset in `marks`) onto the word
+    that ends where it begins, with the word run right after the mark, so
+    "q", U+0307 and "uark" become one token."""
+    out: list[tuple[str, int, int]] = []
+    mark_end = -1
+    for span in spans:
+        surface, start, end = span
+        glue = start in marks or (start == mark_end and surface[0].isalpha())
+        if glue and out and out[-1][2] == start and out[-1][0][0].isalpha():
+            prev, prev_start, _ = out[-1]
+            out[-1] = (prev + surface, prev_start, end)
+            if start in marks:
+                mark_end = end
+        else:
+            out.append(span)
+    return out
 
 
 # ---------------------------------------------------------------------------

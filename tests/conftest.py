@@ -34,6 +34,12 @@ def _silent(*args, **kwargs):
     pass
 
 
+def vector_file_words(path: Path) -> set[str]:
+    """The first field of every line of a vector file: load them all."""
+    return {line.split(" ")[0]
+            for line in path.read_text("utf-8").splitlines()}
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
@@ -56,7 +62,8 @@ def wn_pipeline(mini_wordnet) -> Pipeline:
 
 @pytest.fixture(scope="session")
 def toy_table():
-    return load_vectors(FIXTURES / "vectors_toy.txt")
+    path = FIXTURES / "vectors_toy.txt"
+    return load_vectors(path, vector_file_words(path))
 
 
 @pytest.fixture(scope="session")

@@ -24,13 +24,19 @@ from wikiharvest.crawler import ArticleRef, CrawlConfig, WikiClient, expand
 from wikiharvest.keywords import filter_generic, score_tfidf
 from wikiharvest.lexicon import make_lemmatizer
 from wikiharvest.preprocess import Token, chunk_noun_phrases, pos_tag
-from wikiharvest.relatedness import (cosine, embed_document, evaluate,
-                                     load_vectors)
+from wikiharvest.relatedness import (cosine, embed_document, eval_texts,
+                                     evaluate, load_vectors)
 from wikiharvest.testing import random_wiki, reachable_articles
 
 WORDNET = FIXTURES / "wordnet_mini"
 VECTORS = FIXTURES / "vectors_toy.txt"
 RAILWAY_RS = FIXTURES / "railway_rs.txt"
+
+
+def cli_eval(corpus_dir: Path, test_rs: Path):
+    """The `eval` command's path: tokenize once, load the rows used."""
+    texts = eval_texts(load_corpus(corpus_dir), test_rs.read_text("utf-8"))
+    return evaluate(texts, load_vectors(VECTORS, texts.words))
 
 
 @pytest.fixture
@@ -140,18 +146,16 @@ class TestAcceptance:
         assert got == {"lunar rover": 2}
         announce("ACCEPTANCE 4 PASS: 'rover' dropped, 'lunar rover' kept")
 
-    def test_5_relatedness_reproduction(self, railway_mined, toy_table,
-                                        recorded, announce):
-        railway = evaluate(load_corpus(railway_mined.corpus),
-                           (FIXTURES / "railway_test_rs.txt").read_text("utf-8"),
-                           toy_table)
+    def test_5_relatedness_reproduction(self, railway_mined, recorded,
+                                        announce):
+        railway = cli_eval(railway_mined.corpus,
+                           FIXTURES / "railway_test_rs.txt")
         want = recorded["railway"]["eval"]
         for key in ("min", "avg", "max", "oov_rate"):
             assert getattr(railway, key) == pytest.approx(want[key], abs=1e-9)
 
-        transport = evaluate(load_corpus(FIXTURES / "transport_corpus"),
-                             (FIXTURES / "transport_test_rs.txt").read_text("utf-8"),
-                             toy_table)
+        transport = cli_eval(FIXTURES / "transport_corpus",
+                             FIXTURES / "transport_test_rs.txt")
         twant = recorded["transportation"]["eval"]
         for key in ("min", "avg", "max", "oov_rate"):
             assert getattr(transport, key) == pytest.approx(twant[key],
@@ -170,14 +174,12 @@ class TestAcceptance:
     @pytest.mark.skipif(not os.environ.get("WIKIHARVEST_LIVE"),
                         reason="live Wikipedia smoke test; set "
                                "WIKIHARVEST_LIVE=1 to enable")
-    def test_5b_live_smoke(self, tmp_path, toy_table):
+    def test_5b_live_smoke(self, tmp_path):
         from wikiharvest.cli import run_mine
         out = tmp_path / "live"
         run_mine(RAILWAY_RS, out, WORDNET, cache_dir=tmp_path / "cache",
                  echo=lambda *a, **k: None)
-        report = evaluate(load_corpus(out),
-                          (FIXTURES / "railway_test_rs.txt").read_text("utf-8"),
-                          toy_table)
+        report = cli_eval(out, FIXTURES / "railway_test_rs.txt")
         assert report.avg >= 0.90
 
     def test_6_cosine_embedding_properties(self, announce):

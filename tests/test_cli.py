@@ -194,6 +194,16 @@ class TestEvalCommand:
                    "--vectors", tmp_path / "none.txt")
         assert proc.returncode == 2
 
+    def test_vectors_not_utf8_one_line_exit_1(self, cli, tmp_path):
+        vectors = tmp_path / "v.txt"
+        vectors.write_bytes(b"rail 0.1 0.2\ncaf\xe9 0.3 0.4\n")
+        proc = cli("eval", "--corpus", FIXTURES / "transport_corpus",
+                   "--input", FIXTURES / "transport_test_rs.txt",
+                   "--vectors", vectors)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {vectors}:2: not valid UTF-8 (byte 0xe9)"]
+
     def test_corpus_without_manifest_exit_1(self, cli, tmp_path):
         (tmp_path / "c").mkdir()
         proc = cli("eval", "--corpus", tmp_path / "c",

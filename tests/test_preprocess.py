@@ -41,7 +41,8 @@ PIECES = ["The", "the", "a", "lunar", "rover", "Rovers", "rovers", "stops",
           "communications", "transmitted", "signalling", "is", "applied",
           "other", "trains", "Train", "quickly", "brake", "e.g.", "Mr.",
           "fig.", "3.5", "42", ".", "!", "?", ",", "-", "'", "Zürich",
-          "Café", "cafe\u0301", "Łódź", "Москва", "São", "l'école"]
+          "Café", "cafe\u0301", "Łódź", "Москва", "São", "l'école",
+          "नमस्ते"]
 generated_texts = st.lists(
     st.tuples(st.one_of(st.sampled_from(PIECES),
                         st.text(alphabet="abXY.,!?'-07 é", min_size=1,
@@ -109,6 +110,22 @@ class TestTokenize:
         ("São Paulo", ["São", "Paulo"]), ("l'école", ["l'école"])])
     def test_non_ascii_words_stay_whole(self, text, words):
         assert surfaces(tokenize(text)) == words
+
+    # Combining marks that NFC cannot compose: a virama and a vowel sign,
+    # a dot above, Arabic and Hebrew points.
+    COMBINING = ["नमस्ते", "q\u0307uark", "كَتَبَ", "שָׁלוֹם"]
+
+    @pytest.mark.parametrize("word", COMBINING)
+    def test_combining_marks_stay_inside_words(self, word, wn_pipeline):
+        nfc = unicodedata.normalize("NFC", word)
+        assert surfaces(tokenize(word)) == [word]
+        doc = wn_pipeline.preprocess(word)
+        assert [t.surface for s in doc.sentences for t in s.tokens] == [nfc]
+        assert content_tokens(word) == [nfc.lower()]
+
+    def test_combining_mark_after_non_word_stays_apart(self):
+        assert surfaces(tokenize("1\u0307 .\u0307")) == \
+            ["1", "\u0307", ".", "\u0307"]
 
     def test_content_tokens_keep_non_ascii_words(self):
         assert content_tokens("The Zürich tram of São Paulo") == \

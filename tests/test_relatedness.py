@@ -1,24 +1,32 @@
 """Vector loading, document embedding, cosine, and corpus evaluation."""
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import vector_file_words
+
 from wikiharvest.corpus import load_corpus, write_corpus
 from wikiharvest.relatedness import (DimensionMismatch, EmbeddingTable,
                                      EmptyCorpus, InconsistentDimension,
                                      MalformedVectorLine, cosine,
                                      embed_document,
-                                     embed_document_with_stats, evaluate,
-                                     load_vectors)
+                                     embed_document_with_stats, eval_texts,
+                                     evaluate, load_vectors)
 
 finite_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False,
               allow_infinity=False),
     min_size=2, max_size=8)
+
+
+def load_all(path):
+    return load_vectors(path, vector_file_words(path))
 
 
 def table_of(mapping):
@@ -32,14 +40,14 @@ class TestLoadVectors:
     def test_two_line_file(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("alpha 1.0 2.0 3.0\nbeta 0.5 0.5 0.5\n")
-        table = load_vectors(path)
+        table = load_all(path)
         assert table.dimension == 3
         assert set(table.vectors) == {"alpha", "beta"}
 
     def test_header_consumed(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 3\nalpha 1 2 3\nbeta 4 5 6\n")
-        table = load_vectors(path)
+        table = load_all(path)
         assert table.dimension == 3
         assert len(table.vectors) == 2
 
@@ -47,26 +55,26 @@ class TestLoadVectors:
         path = tmp_path / "v.txt"
         path.write_text("alpha 1 2 3\nbeta 4 5\n")
         with pytest.raises(InconsistentDimension) as exc:
-            load_vectors(path)
+            load_all(path)
         assert ":2" in str(exc.value)
 
     def test_malformed_component(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("alpha 1 2 3\nbeta 1 two 3\n")
         with pytest.raises(MalformedVectorLine) as exc:
-            load_vectors(path)
+            load_all(path)
         assert ":2" in str(exc.value)
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("tok 1 0\ntok 9 9\n")
-        table = load_vectors(path)
+        table = load_all(path)
         assert table.vectors["tok"].tolist() == [1.0, 0.0]
 
     def test_trailing_space_accepted(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("rail 0.1 0.2 \ntrack 0.3 0.4 \n")
-        table = load_vectors(path)
+        table = load_all(path)
         assert table.dimension == 2
         assert table.vectors["rail"].tolist() == [0.1, 0.2]
 
@@ -74,25 +82,217 @@ class TestLoadVectors:
         path = tmp_path / "v.txt"
         path.write_text("rail 0.1 0.2 \ntrack 0.3 \n")
         with pytest.raises(InconsistentDimension) as exc:
-            load_vectors(path)
+            load_all(path)
         assert ":2" in str(exc.value)
 
     def test_token_only_line_malformed(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("rail 0.1 0.2\ntrack \n")
         with pytest.raises(MalformedVectorLine) as exc:
-            load_vectors(path)
+            load_all(path)
         assert ":2" in str(exc.value)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("rail 0.1 0.2\n\n   \ntrack 0.3 0.4\n\n")
-        table = load_vectors(path)
+        table = load_all(path)
         assert set(table.vectors) == {"rail", "track"}
 
     def test_toy_table_has_header_and_100_tokens(self, toy_table):
         assert toy_table.dimension == 8
         assert len(toy_table.vectors) == 100
+
+    def test_only_rows_of_words_kept(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("alpha 1 2\nbeta 3 4\ngamma 5 6\n")
+        table = load_vectors(path, {"beta", "delta"})
+        assert table.dimension == 2
+        assert {w: v.tolist() for w, v in table.vectors.items()} == \
+            {"beta": [3.0, 4.0]}
+
+    def test_bad_row_of_unused_word_still_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("used 1 2\nunused 3 x\n")
+        with pytest.raises(MalformedVectorLine) as exc:
+            load_vectors(path, {"used"})
+        assert ":2:" in str(exc.value)
+
+    def test_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"rail 0.1 0.2\ncaf\xe9 0.3 0.4\n")
+        with pytest.raises(MalformedVectorLine) as exc:
+            load_vectors(path, {"rail"})
+        assert ":2: not valid UTF-8" in str(exc.value)
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        rows = [f"w{i} {i} 1" for i in range(600)]
+        rows[10] = "w10 1 x"        # in the first chunk
+        rows[400] = "caf\udce9 1 2"  # an undecodable byte, later
+        path = tmp_path / "v.txt"
+        path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape"))
+        with pytest.raises(MalformedVectorLine) as exc:
+            load_vectors(path, {"w1"})
+        assert ":11:" in str(exc.value)
+
+
+def reference_load(path):
+    """The row-by-row loader: `float()` on every component of every row,
+    keeping every row.  Returns (dimension, vectors)."""
+    vectors, dimension = {}, 0
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip()
+            if not line:
+                continue
+            fields = line.split(" ")
+            if lineno == 1 and len(fields) == 2:
+                try:
+                    int(fields[0]), int(fields[1])
+                    continue
+                except ValueError:
+                    pass
+            token, values = fields[0], fields[1:]
+            if not token or not values:
+                raise MalformedVectorLine(f"{path}:{lineno}: token only")
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise MalformedVectorLine(f"{path}:{lineno}: {exc}") from exc
+            if dimension == 0:
+                dimension = vec.shape[0]
+            elif vec.shape[0] != dimension:
+                raise InconsistentDimension(f"{path}:{lineno}: dimension")
+            vectors.setdefault(token, vec)
+    return dimension, vectors
+
+
+def load_outcome(load, path):
+    """(dimension, {word: vector bytes}), or (error class, line number)."""
+    try:
+        dimension, vectors = load()
+    except (MalformedVectorLine, InconsistentDimension) as exc:
+        lineno = re.match(re.escape(str(path)) + r":(\d+):", str(exc))
+        return type(exc), int(lineno.group(1))
+    return dimension, {w: v.tobytes() for w, v in vectors.items()}
+
+
+def assert_loads_like_reference(path, words):
+    def chunked():
+        table = load_vectors(path, words)
+        return table.dimension, table.vectors
+
+    def reference():
+        dimension, vectors = reference_load(path)
+        return dimension, {w: v for w, v in vectors.items() if w in words}
+
+    assert load_outcome(chunked, path) == load_outcome(reference, path)
+
+
+TOKENS = [f"w{i}" for i in range(12)] + ["Zürich", "rail"]
+# Spellings both parsers read, ones only float() reads ("1_0", non-ASCII
+# digits), ones only numpy reads (around "\x1c"), and ones neither reads.
+ODD_FIELDS = ["1_0", "\uff11", "\u0663.5", "nan", "-nan", "inf", "-Infinity",
+              "1e500", "-0.0", "1.", ".5", "+2", "two", "", "0x1p3", "1,5",
+              "1.5\x1c", "\x1f2", "\x0c3", "1\u2003", "nan(1)"]
+EDITS = ["odd", "short", "long", "token_only", "blank", "trailing", "lead",
+         "double", "dup"]
+# rows near the chunk boundaries at 256 and 512
+NEAR_BOUNDARY = [0, 1, 254, 255, 256, 257, 258, 510, 511, 512, 513]
+
+
+def apply_edit(rows, i, kind, odd, rng):
+    """Change data row `i` (a list of fields, token first) by `kind`."""
+    row = rows[i]
+    if kind == "odd" and len(row) == 1:
+        row.append(odd)
+    elif kind == "odd":
+        row[rng.randrange(1, len(row))] = odd
+    elif kind == "short" and len(row) > 1:
+        row.pop()
+    elif kind == "long":
+        row.append("0.25")
+    elif kind == "token_only":
+        del row[1:]
+    elif kind == "blank":
+        rows.insert(i, [rng.choice(["", "   ", "\t"])])
+    elif kind == "trailing":
+        row[-1] += rng.choice([" ", "  ", " \t"])
+    elif kind == "lead":
+        row.insert(0, "")
+    elif kind == "double":
+        row.insert(rng.randrange(1, len(row) + 1), "")
+    elif kind == "dup":
+        row[0] = rows[max(0, i - rng.randrange(1, 4))][0]
+
+
+@st.composite
+def vector_files(draw):
+    """A vector file of up to 530 rows, edited near the chunk boundaries:
+    (text, words)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(0, 20), st.integers(250, 530)))
+    rows = [[rng.choice(TOKENS)]
+            + [repr(rng.uniform(-2, 2) * 10.0 ** rng.randint(-5, 5))
+               for _ in range(dim)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 4))) if rows else ():
+        i = draw(st.one_of(st.sampled_from(NEAR_BOUNDARY),
+                           st.integers(0, len(rows) - 1)))
+        apply_edit(rows, min(i, len(rows) - 1), draw(st.sampled_from(EDITS)),
+                   draw(st.sampled_from(ODD_FIELDS)), rng)
+    lines = [" ".join(row) for row in rows]
+    header = draw(st.sampled_from([None, f"{n} {dim}", f"{n}  {dim}",
+                                   "3 x"]))
+    if header is not None:
+        lines.insert(0, header)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    words = draw(st.sets(st.sampled_from(TOKENS)))
+    return newline.join(lines) + newline, words
+
+
+class TestLoaderMatchesReference:
+    """`load_vectors` keeps the rows `float()` reads, bit for bit, or
+    raises the error the row-by-row loader raises, at the same line."""
+
+    @given(vector_files())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_files(self, tmp_path_factory, case):
+        text, words = case
+        path = tmp_path_factory.mktemp("vectors") / "v.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_like_reference(path, words)
+
+    @pytest.mark.parametrize("edits", [
+        [], [(255, "odd", "two")], [(256, "odd", "two")],
+        [(255, "short", None)], [(256, "long", None)],
+        [(256, "token_only", None)], [(255, "token_only", None),
+                                      (256, "odd", "two")],
+        [(300, "odd", "1_0"), (20, "odd", "\uff11")],
+        [(257, "odd", "1.5\x1c")], [(0, "odd", "nan"), (511, "odd", "inf")],
+        [(255, "blank", None), (256, "trailing", None)],
+        [(10, "odd", "two"), (400, "short", None)],
+        [(10, "odd", "two"), (20, "token_only", None)],
+        [(256, "lead", None)], [(255, "double", None)]])
+    def test_chunk_boundaries(self, tmp_path, edits):
+        rng = random.Random(len(edits))
+        # every token twice, the second time on the far side of row 256
+        rows = [[f"w{i % 260}", repr(i / 7), repr(-i / 3), "1e-3"]
+                for i in range(600)]
+        for i, kind, odd in edits:
+            apply_edit(rows, i, kind, odd, rng)
+        path = tmp_path / "v.txt"
+        path.write_text("600 3\n" + "\n".join(" ".join(r) for r in rows)
+                        + "\n")
+        words = {f"w{i}" for i in range(0, 260, 3)}
+        assert_loads_like_reference(path, words)
+
+    @pytest.mark.parametrize("first", [1, 255, 256, 257])
+    def test_wider_rows_from_a_chunk_on(self, tmp_path, first):
+        rows = [f"w{i} 1 2" + (" 3" if i >= first else "")
+                for i in range(600)]
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(rows) + "\n")
+        assert_loads_like_reference(path, {"w0", "w300"})
 
 
 class TestEmbedDocument:
@@ -121,6 +321,23 @@ class TestEmbedDocument:
     def test_empty_text_zero_vector(self):
         table = table_of({"rail": [1.0, 0.0]})
         assert embed_document("", table).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_mean_adds_in_token_order(self, dim):
+        # magnitudes 1e-8..1e8, so another order of addition rounds
+        # differently; numpy would sum a single column pairwise
+        rng = np.random.default_rng(dim)
+        words = ["zq" + a + b for a in "abcdefgh" for b in "abcde"]
+        table = table_of({w: rng.standard_normal(dim)
+                          * 10.0 ** rng.integers(-8, 8, dim) for w in words})
+        text = " ".join(rng.choice(words + ["oovword"], size=300))
+        total, n = np.zeros(dim), 0
+        for word in text.split():
+            if word in table.vectors:
+                total += table.vectors[word]
+                n += 1
+        total /= n
+        assert embed_document(text, table).tobytes() == total.tobytes()
 
     @given(st.permutations(["rail", "track", "bridge", "rail", "unknowntok"]))
     @settings(max_examples=40)
@@ -189,7 +406,7 @@ class TestEvaluate:
     def test_identical_text_scores_one(self, tmp_path):
         table = table_of({"rail": [1.0, 0.5], "track": [0.2, 2.0]})
         corp = self.corpus_of(tmp_path, [(1, "A", "rail track rail")])
-        rep = evaluate(corp, "rail track rail", table)
+        rep = evaluate(eval_texts(corp, "rail track rail"), table)
         assert rep.min == pytest.approx(1.0, abs=1e-9)
         assert rep.min == rep.avg == rep.max
 
@@ -197,7 +414,7 @@ class TestEvaluate:
         table = table_of({"rail": [1.0, 0.0]})
         corp = self.corpus_of(tmp_path, [])
         with pytest.raises(EmptyCorpus):
-            evaluate(corp, "rail", table)
+            evaluate(eval_texts(corp, "rail"), table)
 
     def test_aggregates_match_bruteforce(self, tmp_path, toy_table):
         texts = [(i + 1, f"T{i}", t) for i, t in enumerate([
@@ -205,7 +422,8 @@ class TestEvaluate:
             "traffic road", "rail rail rail history",
             "century company museum"])]
         corp = self.corpus_of(tmp_path, texts)
-        rep = evaluate(corp, "rail track train railway", toy_table)
+        rep = evaluate(eval_texts(corp, "rail track train railway"),
+                       toy_table)
         # brute force: recompute every cosine and aggregate again
         rs_vec = embed_document("rail track train railway", toy_table)
         expected = []
@@ -221,19 +439,20 @@ class TestEvaluate:
 
     def test_per_article_sorted_by_page_id(self, tmp_path, toy_table):
         corp = self.corpus_of(tmp_path, [(5, "B", "rail"), (2, "A", "track")])
-        rep = evaluate(corp, "rail", toy_table)
+        rep = evaluate(eval_texts(corp, "rail"), toy_table)
         assert [pid for pid, _s in rep.per_article] == [2, 5]
 
     def test_oov_rate(self, tmp_path):
         table = table_of({"rail": [1.0, 0.0]})
         corp = self.corpus_of(tmp_path, [(1, "A", "rail")])
-        rep = evaluate(corp, "rail gizmo widget", table)
+        rep = evaluate(eval_texts(corp, "rail gizmo widget"), table)
         assert rep.oov_rate == pytest.approx(2 / 3)
 
     def test_report_json_shape(self, tmp_path, toy_table):
         import json
         corp = self.corpus_of(tmp_path, [(1, "A", "rail")])
-        payload = json.loads(evaluate(corp, "rail", toy_table).to_json())
+        payload = json.loads(
+            evaluate(eval_texts(corp, "rail"), toy_table).to_json())
         assert set(payload) == {"per_article", "min", "avg", "max",
                                 "oov_rate"}
         assert payload["per_article"] == [{"page_id": 1, "score": 1.0}]
