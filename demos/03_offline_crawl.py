@@ -20,7 +20,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 wiki = FakeWiki.from_path(FIXTURES / "railway_graph.json")
 lexicon = load_wordnet(FIXTURES / "wordnet_mini")
 pipeline = Pipeline(lemmatizer=make_lemmatizer(lexicon))
-client = WikiClient(wiki.transport(), pipeline)
+client = WikiClient(wiki, pipeline)
 
 # partial title matching: the keyword only needs one shared content token
 for keyword in ("rail transport system", "driver machine interface",

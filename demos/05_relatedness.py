@@ -6,8 +6,7 @@
 from pathlib import Path
 
 from wikiharvest.corpus import load_corpus
-from wikiharvest.relatedness import (cosine, embed_document,
-                                     embed_document_with_stats, eval_texts,
+from wikiharvest.relatedness import (cosine, embed_document, eval_texts,
                                      evaluate, load_vectors)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
@@ -22,10 +21,7 @@ print(f"embedding table: {len(table.vectors)} of {len(texts.words)} "
       f"distinct words kept, dimension {table.dimension}")
 
 # document vectors are plain means of in-vocabulary token vectors
-vec, in_vocab, oov = embed_document_with_stats(
-    "traffic flows along the road", table)
-print(f"sample embedding uses {in_vocab} in-vocabulary tokens "
-      f"({oov} out-of-vocabulary)")
+vec = embed_document("traffic flows along the road", table)
 same = cosine(vec, embed_document("road traffic", table))
 print(f"cosine against a related snippet: {same:.4f}\n")
 

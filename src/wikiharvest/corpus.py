@@ -13,7 +13,7 @@ import os
 import time
 import uuid
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -55,33 +55,16 @@ class CorpusManifest:
     wordnet_version: str
 
     def to_json(self) -> str:
-        payload = {
-            "rs_source_hash": self.rs_source_hash,
-            "keywords": [
-                {"phrase": kw.phrase, "tf": kw.tf, "idf": kw.idf,
-                 "score": kw.score}
-                for kw in self.keywords
-            ],
-            "depth": self.depth,
-            "created_at": self.created_at,
-            "articles": list(self.articles),
-            "tool_version": self.tool_version,
-            "wordnet_version": self.wordnet_version,
-        }
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(asdict(self), ensure_ascii=False, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusManifest":
+        """Read the dataclass's fields; keys it does not know are ignored."""
         data = json.loads(text)
-        return cls(
-            rs_source_hash=data["rs_source_hash"],
-            keywords=tuple(Keyword(**kw) for kw in data["keywords"]),
-            depth=data["depth"],
-            created_at=data["created_at"],
-            articles=tuple(data["articles"]),
-            tool_version=data["tool_version"],
-            wordnet_version=data["wordnet_version"],
-        )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["keywords"] = tuple(Keyword(**kw) for kw in values["keywords"])
+        values["articles"] = tuple(values["articles"])
+        return cls(**values)
 
 
 def _created_at_now() -> str:
@@ -90,6 +73,11 @@ def _created_at_now() -> str:
     ts = int(epoch) if epoch else int(time.time())
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ")
+
+
+def article_path(page_id: int) -> str:
+    """Where an article lives, relative to the corpus root."""
+    return f"{ARTICLES_DIR}/{page_id}.txt"
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -114,8 +102,7 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
                  rs_source_hash: str = "",
                  keywords: Sequence[Keyword] = (),
                  depth: int = 0,
-                 wordnet_version: str = "",
-                 created_at: str | None = None) -> CorpusManifest:
+                 wordnet_version: str = "") -> CorpusManifest:
     """Write article texts and a manifest under `out_dir`.
 
     `articles_with_text` yields (page_id, title, text) triples.  The
@@ -133,7 +120,7 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
         if page_id in seen:
             raise DuplicatePageId(f"page id {page_id} appears twice")
         seen.add(page_id)
-        rel = f"{ARTICLES_DIR}/{page_id}.txt"
+        rel = article_path(page_id)
         data = text.encode("utf-8")
         (out / rel).write_bytes(data)
         entries.append({
@@ -148,15 +135,15 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
         rs_source_hash=rs_source_hash,
         keywords=tuple(keywords),
         depth=depth,
-        created_at=created_at if created_at is not None else _created_at_now(),
+        created_at=_created_at_now(),
         articles=tuple(entries),
         tool_version=__version__,
         wordnet_version=wordnet_version,
     )
     write_text_atomic(out / MANIFEST_NAME, manifest.to_json())
-    listed = {entry["relative_path"] for entry in entries}
+    listed = {Path(entry["relative_path"]).name for entry in entries}
     for path in articles_dir.iterdir():
-        if f"{ARTICLES_DIR}/{path.name}" not in listed and path.is_file():
+        if path.name not in listed and path.is_file():
             path.unlink()
     return manifest
 
@@ -173,14 +160,14 @@ class Corpus:
 
     def __iter__(self) -> Iterator[tuple[int, str, str]]:
         for entry in self.manifest.articles:
-            yield entry["page_id"], entry["title"], self.read_text(entry)
-
-    def read_text(self, entry: dict) -> str:
-        return (self.root / entry["relative_path"]).read_text("utf-8")
-
-    def texts(self) -> Iterator[str]:
-        for _pid, _title, text in self:
-            yield text
+            path = self.root / article_path(entry["page_id"])
+            try:
+                text = path.read_text("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IntegrityError(
+                    f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}"
+                    f" at offset {exc.start})") from None
+            yield entry["page_id"], entry["title"], text
 
 
 def load_corpus(directory: str | Path) -> Corpus:
@@ -189,22 +176,31 @@ def load_corpus(directory: str | Path) -> Corpus:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ManifestMissing(f"no {MANIFEST_NAME} in {root}")
-    manifest = CorpusManifest.from_json(manifest_path.read_text("utf-8"))
+    try:
+        manifest = CorpusManifest.from_json(manifest_path.read_text("utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"{manifest_path}: not a valid manifest "
+                             f"({type(exc).__name__}: {exc})") from None
 
     seen: set[int] = set()
     for entry in manifest.articles:
-        pid = entry["page_id"]
+        pid = entry.get("page_id") if isinstance(entry, dict) else None
+        if (type(pid) is not int or not isinstance(entry.get("title"), str)
+                or entry.get("relative_path") != article_path(pid)):
+            raise IntegrityError(
+                f"{manifest_path}: not a valid manifest entry {entry!r}: it "
+                f"needs an int page_id, a str title and relative_path "
+                f"{article_path('<page_id>')}")
         if pid in seen:
             raise IntegrityError(f"duplicate page id {pid} in manifest")
         seen.add(pid)
-        path = root / entry["relative_path"]
+        path = root / article_path(pid)
         if not path.is_file():
             raise IntegrityError(f"missing article file: {path}")
-        actual = path.stat().st_size
-        if actual != entry["byte_length"]:
+        actual, listed = path.stat().st_size, entry.get("byte_length")
+        if actual != listed:
             raise IntegrityError(
-                f"{path}: byte_length {entry['byte_length']} in manifest, "
-                f"{actual} on disk")
+                f"{path}: byte_length {listed} in manifest, {actual} on disk")
     return Corpus(root=root, manifest=manifest)
 
 
@@ -225,7 +221,7 @@ def frequency_report(corpus: Corpus, top_n: int | None = None,
     """
     pipeline = pipeline or default_pipeline()
     counts: Counter[str] = Counter()
-    for text in corpus.texts():
+    for _pid, _title, text in corpus:
         counts.update(
             lemma for pos, lemma, is_stopword in pipeline.tagged_lemmas(text)
             if not is_stopword and pos not in (PUNCT, NUM)

@@ -69,7 +69,6 @@ class PageMissing(CrawlerError):
 class ArticleRef:
     title: str
     page_id: int
-    namespace: int = ARTICLE_NAMESPACE
 
 
 @dataclass(frozen=True)
@@ -326,8 +325,7 @@ class WikiClient:
                 continue
             title = page["title"]
             if title_overlap(title, keyword, self.pipeline):
-                return ArticleRef(title=title, page_id=page["pageid"],
-                                  namespace=page.get("ns", ARTICLE_NAMESPACE))
+                return ArticleRef(title=title, page_id=page["pageid"])
         return None
 
     def list_categories(self, article: ArticleRef) -> list[CategoryRef]:

@@ -57,9 +57,6 @@ class WordnetLexicon:
     exceptions: Mapping[str, Mapping[str, tuple[str, ...]]]  # pos -> form -> bases
     source_version: str = ""
 
-    def __contains__(self, phrase: str) -> bool:
-        return contains_lemma(self, phrase)
-
 
 def _parse_index(path: Path) -> frozenset[str]:
     lemmas = set()

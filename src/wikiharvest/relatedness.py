@@ -244,16 +244,10 @@ def _embedder(words: Mapping[str, int], table: EmbeddingTable
 
 def embed_document(text: str, table: EmbeddingTable) -> np.ndarray:
     """Mean vector of the in-vocabulary content tokens of `text`."""
-    vec, _, _ = embed_document_with_stats(text, table)
-    return vec
-
-
-def embed_document_with_stats(text: str, table: EmbeddingTable
-                              ) -> tuple[np.ndarray, int, int]:
-    """Embedding plus (in-vocabulary, out-of-vocabulary) token counts."""
     words: dict[str, int] = {}
     ids = _word_ids(text, words)
-    return _embedder(words, table)(ids)
+    vec, _, _ = _embedder(words, table)(ids)
+    return vec
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

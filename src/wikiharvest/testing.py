@@ -5,7 +5,8 @@ same request shapes the crawler issues (search, categories, category
 members, extracts), including continuation chunking.  It can serve
 requests three ways:
 
-* ``transport()`` -- an in-memory transport for direct library tests;
+* ``get()`` -- a FakeWiki is itself an in-memory transport, so it can be
+  passed straight to :class:`~wikiharvest.crawler.WikiClient`;
 * ``fetcher()`` -- an HTTP-shaped callable to plug into
   :class:`~wikiharvest.crawler.CachedTransport`, which is how tests warm a
   real on-disk cache for ``--offline`` CLI runs;
@@ -90,7 +91,7 @@ class FakeWiki:
 
     # -- request handling ----------------------------------------------
 
-    def handle(self, params: Mapping[str, str]) -> dict:
+    def get(self, params: Mapping[str, str]) -> dict:
         """Answer one Action API request given its query parameters."""
         if params.get("action") != "query":
             return {"error": {"code": "unknown_action",
@@ -189,14 +190,11 @@ class FakeWiki:
 
     # -- adapters -------------------------------------------------------
 
-    def transport(self) -> "FakeTransport":
-        return FakeTransport(self)
-
     def fetcher(self):
         """HTTP-shaped adapter: (url, headers) -> (200, json body)."""
         def fetch(url: str, headers: Mapping[str, str]) -> tuple[int, str]:
             params = dict(parse_qsl(urlsplit(url).query))
-            return 200, json.dumps(self.handle(params))
+            return 200, json.dumps(self.get(params))
         return fetch
 
     # -- serialization ---------------------------------------------------
@@ -226,18 +224,6 @@ class FakeWiki:
     @classmethod
     def from_path(cls, path: str | Path) -> "FakeWiki":
         return cls.from_json(Path(path).read_text("utf-8"))
-
-
-class FakeTransport:
-    """In-memory transport over a FakeWiki; counts calls for cache tests."""
-
-    def __init__(self, wiki: FakeWiki):
-        self.wiki = wiki
-        self.calls = 0
-
-    def get(self, params: Mapping[str, str]) -> dict:
-        self.calls += 1
-        return self.wiki.handle(params)
 
 
 # ---------------------------------------------------------------------------

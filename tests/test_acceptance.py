@@ -104,7 +104,7 @@ class TestAcceptance:
             max_arts = 100 if i % 3 else 800  # up to ~1000 nodes
             wiki, seed_ids = random_wiki(rng, max_categories=max_cats,
                                          max_articles=max_arts)
-            client = WikiClient(wiki.transport())
+            client = WikiClient(wiki)
             seeds = [ArticleRef(wiki.articles[pid]["title"], pid)
                      for pid in seed_ids]
             sets = []

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES
+from wikiharvest.corpus import write_corpus
 
 WORDNET = FIXTURES / "wordnet_mini"
 VECTORS = FIXTURES / "vectors_toy.txt"
@@ -246,6 +247,38 @@ class TestEvalCommand:
                    "--vectors", VECTORS, check=True)
         assert b"min=" in proc.stderr
         json.loads(proc.stdout)  # stdout stays pure JSON
+
+
+class TestDamagedCorpus:
+    """A damaged corpus is a one-line error with exit 1, in both readers."""
+
+    ARGS = {"report": (),
+            "eval": ("--input", FIXTURES / "transport_test_rs.txt",
+                     "--vectors", VECTORS)}
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        out = tmp_path / "c"
+        write_corpus([(1, "A", "caf\u00e9 road"), (2, "B", "traffic")], out)
+        return out
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    def test_article_not_utf8(self, cli, corpus, command):
+        article = corpus / "articles" / "1.txt"
+        article.write_bytes(b"caf\xe9! road")
+        proc = cli(command, "--corpus", corpus, *self.ARGS[command])
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {article}: not valid UTF-8 (byte 0xe9 at offset 3)"]
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    def test_manifest_not_json(self, cli, corpus, command):
+        manifest = corpus / "manifest.json"
+        manifest.write_text("{")
+        proc = cli(command, "--corpus", corpus, *self.ARGS[command])
+        assert proc.returncode == 1
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith(f"error: {manifest}: not a valid manifest")
 
 
 class TestReportCommand:

@@ -44,11 +44,13 @@ class TestWriteCorpus:
         with pytest.raises(DuplicatePageId):
             write_corpus([(1, "A", "x"), (1, "B", "y")], tmp_path / "c")
 
-    def test_rerun_replaces_manifest_idempotently(self, tmp_path):
+    def test_rerun_replaces_manifest_idempotently(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")
         out = tmp_path / "c"
-        write_corpus(SAMPLE, out, created_at="2026-01-01T00:00:00Z")
+        write_corpus(SAMPLE, out)
         first = (out / "manifest.json").read_bytes()
-        write_corpus(SAMPLE, out, created_at="2026-01-01T00:00:00Z")
+        write_corpus(SAMPLE, out)
         assert (out / "manifest.json").read_bytes() == first
 
     def test_rerun_removes_unlisted_articles(self, tmp_path):
@@ -137,6 +139,46 @@ class TestLoadCorpus:
         (out / "manifest.json").write_text(json.dumps(data))
         with pytest.raises(IntegrityError):
             load_corpus(out)
+
+    @pytest.mark.parametrize("field, value", [
+        ("relative_path", "../secret.txt"),
+        ("relative_path", "articles/101.txt"),
+        ("page_id", "57"),
+        ("page_id", True),
+    ])
+    def test_entry_path_must_be_its_article(self, tmp_path, field, value):
+        out = tmp_path / "c"
+        write_corpus(SAMPLE, out)
+        data = json.loads((out / "manifest.json").read_text())
+        # same length as the listed article, so only the path check fails
+        (tmp_path / "secret.txt").write_text(
+            "s" * data["articles"][0]["byte_length"])
+        data["articles"][0][field] = value
+        (out / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(IntegrityError, match="relative_path articles/"):
+            load_corpus(out)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:-10],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "depth"}),
+        lambda text: text.replace('"title"', '"name"', 1),
+    ], ids=["invalid-json", "missing-depth", "missing-title"])
+    def test_malformed_manifest(self, tmp_path, corrupt):
+        out = tmp_path / "c"
+        write_corpus(SAMPLE, out)
+        manifest = out / "manifest.json"
+        manifest.write_text(corrupt(manifest.read_text()))
+        with pytest.raises(IntegrityError, match="not a valid manifest"):
+            load_corpus(out)
+
+    def test_unknown_manifest_keys_ignored(self, tmp_path):
+        out = tmp_path / "c"
+        written = write_corpus(SAMPLE, out)
+        data = json.loads((out / "manifest.json").read_text())
+        data["future_field"] = 1
+        (out / "manifest.json").write_text(json.dumps(data))
+        assert load_corpus(out).manifest == written
 
     def test_shipped_transport_fixture_loads(self, fixtures_dir):
         corp = load_corpus(fixtures_dir / "transport_corpus")

@@ -25,7 +25,7 @@ EXTRACT_1 = {"action": "query", "format": "json", "formatversion": "2",
 
 
 def client_for(wiki, pipeline=None):
-    return WikiClient(wiki.transport(), pipeline)
+    return WikiClient(wiki, pipeline)
 
 
 @pytest.fixture

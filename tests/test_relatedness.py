@@ -15,8 +15,7 @@ from wikiharvest.corpus import load_corpus, write_corpus
 from wikiharvest.relatedness import (DimensionMismatch, EmbeddingTable,
                                      EmptyCorpus, InconsistentDimension,
                                      MalformedVectorLine, cosine,
-                                     embed_document,
-                                     embed_document_with_stats, eval_texts,
+                                     embed_document, eval_texts,
                                      evaluate, load_vectors)
 
 finite_vectors = st.lists(
@@ -308,10 +307,8 @@ class TestEmbedDocument:
 
     def test_all_oov_is_zero_vector(self):
         table = table_of({"rail": [1.0, 0.0]})
-        vec, in_vocab, oov = embed_document_with_stats("nothing known here",
-                                                       table)
+        vec = embed_document("nothing known here", table)
         assert vec.tolist() == [0.0, 0.0]
-        assert in_vocab == 0 and oov > 0
 
     def test_stopwords_excluded(self):
         table = table_of({"the": [9.0, 9.0], "rail": [1.0, 0.0]})
@@ -447,6 +444,12 @@ class TestEvaluate:
         corp = self.corpus_of(tmp_path, [(1, "A", "rail")])
         rep = evaluate(eval_texts(corp, "rail gizmo widget"), table)
         assert rep.oov_rate == pytest.approx(2 / 3)
+
+    def test_all_oov_rate_is_one(self, tmp_path):
+        table = table_of({"rail": [1.0, 0.0]})
+        corp = self.corpus_of(tmp_path, [(1, "A", "rail")])
+        rep = evaluate(eval_texts(corp, "nothing known here"), table)
+        assert rep.oov_rate == 1.0
 
     def test_report_json_shape(self, tmp_path, toy_table):
         import json

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -992,8 +993,8 @@ def build_transport_corpus(content_tokens, write_corpus) -> dict:
                                    dom_set, off_set))
         entries.append((pid, title, text))
 
-    write_corpus(entries, out, rs_source_hash="fixture", depth=1,
-                 created_at="2026-01-15T00:00:00Z")
+    os.environ["SOURCE_DATE_EPOCH"] = "1768435200"   # 2026-01-15T00:00:00Z
+    write_corpus(entries, out, rs_source_hash="fixture", depth=1)
 
     test_rs = FIXTURES.joinpath("transport_test_rs.txt").read_text("utf-8")
     rs_tokens = content_tokens(test_rs)
