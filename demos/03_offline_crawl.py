@@ -9,8 +9,8 @@
 import tempfile
 from pathlib import Path
 
-from wikiharvest.crawler import (CachedTransport, CrawlConfig, WikiClient,
-                                 dedupe_seeds, expand, search_keywords)
+from wikiharvest.crawler import (CachedTransport, WikiClient, dedupe_seeds,
+                                 expand, search_keywords)
 from wikiharvest.lexicon import load_wordnet, make_lemmatizer
 from wikiharvest.preprocess import Pipeline
 from wikiharvest.testing import FakeWiki
@@ -37,7 +37,7 @@ seeds = dedupe_seeds(matches)
 print(f"\n{len(seeds)} distinct seed articles")
 
 for depth in (0, 1, 2):
-    result = expand(client, seeds, CrawlConfig(depth=depth))
+    result = expand(client, seeds, depth=depth)
     print(f"depth {depth}: {len(result.articles)} articles"
           f"{' (frontier truncated)' if result.frontier_truncated else ''}")
 
@@ -53,8 +53,8 @@ with tempfile.TemporaryDirectory() as tmp:
     cache_dir = Path(tmp) / "cache"
     warm = CachedTransport(cache_dir=cache_dir, fetcher=wiki.fetcher(),
                            request_delay_ms=0)
-    expand(WikiClient(warm, pipeline), seeds, CrawlConfig(depth=1))
+    expand(WikiClient(warm, pipeline), seeds, depth=1)
     replay = CachedTransport(cache_dir=cache_dir, offline=True)
-    result = expand(WikiClient(replay), seeds, CrawlConfig(depth=1))
+    result = expand(WikiClient(replay), seeds, depth=1)
 print(f"\noffline replay from cache: {len(result.articles)} articles, "
       f"{replay.network_requests} network requests")

@@ -16,11 +16,11 @@ from typing import Iterator, NoReturn, Optional, Sequence
 import click
 
 from . import __version__
-from .corpus import (CorpusManifest, frequency_report, load_corpus,
-                     write_corpus)
+from .corpus import (CorpusManifest, created_at_now, frequency_report,
+                     load_corpus, write_corpus)
 from .crawler import (DEFAULT_ENDPOINT, DEFAULT_USER_AGENT, CachedTransport,
-                      CrawlConfig, WikiClient, dedupe_seeds, expand,
-                      fetch_all_texts, search_keywords)
+                      WikiClient, dedupe_seeds, expand, fetch_all_texts,
+                      search_keywords)
 from .errors import WikiHarvestError
 from .keywords import extract_keywords, keywords_to_tsv
 from .lexicon import MissingFile, load_wordnet, make_lemmatizer
@@ -116,19 +116,16 @@ def run_mine(input_rs: Path,
     Importable so tests and scripts can inject a transport; the CLI
     command is a thin wrapper over this function.
     """
+    created_at_now()    # a bad SOURCE_DATE_EPOCH fails before the crawl
     rs_bytes = input_rs.read_bytes()
-    rs_hash = hashlib.sha256(rs_bytes).hexdigest()
-
     lexicon, pipeline, kws = _keywords(rs_bytes, str(input_rs), wordnet_dir,
                                        background_paths, top_k)
     echo(f"# keywords: {len(kws)}")
     echo(keywords_to_tsv(kws), nl=False)
 
-    if cache_dir is None:
-        cache_dir = out_dir / "cache"
-    if transport is None:
-        transport = CachedTransport(endpoint=endpoint, cache_dir=cache_dir,
-                                    offline=offline, user_agent=user_agent)
+    transport = transport or CachedTransport(
+        endpoint=endpoint, cache_dir=cache_dir or out_dir / "cache",
+        offline=offline, user_agent=user_agent)
     client = WikiClient(transport, pipeline)
 
     matches = search_keywords(client, [kw.phrase for kw in kws])
@@ -140,8 +137,8 @@ def run_mine(input_rs: Path,
         else:
             echo(f"{phrase}\t{ref.title}\t{ref.page_id}")
 
-    cfg = CrawlConfig(depth=depth, max_articles=max_articles, workers=workers)
-    result = expand(client, seeds, cfg)
+    result = expand(client, seeds, depth=depth, max_articles=max_articles,
+                    workers=workers)
     echo(f"# articles: {len(result.articles)}")
     if result.frontier_truncated:
         echo("# frontier truncated: reached --max-articles")
@@ -150,7 +147,7 @@ def run_mine(input_rs: Path,
     manifest = write_corpus(
         ((ref.page_id, ref.title, text) for ref, text in texts),
         out_dir,
-        rs_source_hash=rs_hash,
+        rs_source_hash=hashlib.sha256(rs_bytes).hexdigest(),
         keywords=kws,
         depth=depth,
         wordnet_version=lexicon.source_version,
@@ -192,14 +189,10 @@ def run_mine(input_rs: Path,
               help="HTTP User-Agent header.")
 @click.option("--workers", default=1, show_default=True,
               type=click.IntRange(min=1), help="Parallel fetch workers.")
-def mine(input_rs, out_dir, top_k, depth, wordnet_dir, background_paths,
-         offline, cache_dir, max_articles, endpoint, user_agent, workers):
+def mine(**options):
     """Mine a domain-specific corpus from one requirements specification."""
     with _exit_codes():
-        run_mine(input_rs, out_dir, wordnet_dir, top_k=top_k, depth=depth,
-                 background_paths=background_paths, offline=offline,
-                 cache_dir=cache_dir, max_articles=max_articles,
-                 endpoint=endpoint, user_agent=user_agent, workers=workers)
+        run_mine(**options)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import uuid
 from collections import Counter
@@ -67,12 +68,19 @@ class CorpusManifest:
         return cls(**values)
 
 
-def _created_at_now() -> str:
-    """UTC RFC 3339 timestamp; SOURCE_DATE_EPOCH pins it for reproducibility."""
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ")
+def created_at_now() -> str:
+    """UTC RFC 3339 timestamp; SOURCE_DATE_EPOCH pins it for reproducibility.
+    A value that is not an ASCII integer, or that `datetime` cannot
+    represent, raises CorpusError."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH") or str(int(time.time()))
+    try:
+        if not re.fullmatch(r"-?[0-9]+", epoch):
+            raise ValueError("not an ASCII integer")
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ")
+    except (ValueError, OverflowError, OSError) as exc:
+        raise CorpusError(f"SOURCE_DATE_EPOCH={epoch!r}: not a Unix time "
+                          f"in seconds ({exc})") from None
 
 
 def article_path(page_id: int) -> str:
@@ -135,7 +143,7 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
         rs_source_hash=rs_source_hash,
         keywords=tuple(keywords),
         depth=depth,
-        created_at=_created_at_now(),
+        created_at=created_at_now(),
         articles=tuple(entries),
         tool_version=__version__,
         wordnet_version=wordnet_version,

@@ -78,87 +78,22 @@ class CategoryRef:
 
 
 @dataclass(frozen=True)
-class CrawlConfig:
-    depth: int = 1
-    max_articles: int = 5000
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.max_articles < 1:
-            raise ValueError(f"max_articles must be >= 1, got {self.max_articles}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-
-@dataclass(frozen=True)
 class CrawlResult:
     articles: tuple[ArticleRef, ...]
     frontier_truncated: bool
 
 
 # ---------------------------------------------------------------------------
-# request construction
+# transport
+
+# The parameters every request shares; each `WikiClient` method adds its own.
+_QUERY = {"action": "query", "format": "json", "formatversion": "2"}
 
 
 def canonical_url(endpoint: str, params: Mapping[str, str]) -> str:
     """Deterministic URL for a request: sorted, URL-encoded parameters."""
     return endpoint + "?" + urlencode(sorted(params.items()))
 
-
-def _base_params() -> dict[str, str]:
-    return {"action": "query", "format": "json", "formatversion": "2"}
-
-
-def search_params(keyword: str) -> dict[str, str]:
-    params = _base_params()
-    params.update({
-        "generator": "search",
-        "gsrsearch": keyword,
-        "gsrnamespace": "0",
-        "gsrlimit": str(SEARCH_LIMIT),
-        "prop": "pageprops",
-        "ppprop": "disambiguation",
-    })
-    return params
-
-
-def categories_params(page_id: int) -> dict[str, str]:
-    params = _base_params()
-    params.update({
-        "generator": "categories",
-        "gclshow": "!hidden",
-        "gcllimit": "500",
-        "pageids": str(page_id),
-    })
-    return params
-
-
-def members_params(category_title: str) -> dict[str, str]:
-    params = _base_params()
-    params.update({
-        "list": "categorymembers",
-        "cmtitle": category_title,
-        "cmtype": "page|subcat",
-        "cmlimit": "500",
-    })
-    return params
-
-
-def extract_params(page_id: int) -> dict[str, str]:
-    params = _base_params()
-    params.update({
-        "prop": "extracts",
-        "explaintext": "1",
-        "redirects": "1",
-        "pageids": str(page_id),
-    })
-    return params
-
-
-# ---------------------------------------------------------------------------
-# transport
 
 # A fetcher performs one HTTP GET: (url, headers) -> (status_code, body).
 Fetcher = Callable[[str, Mapping[str, str]], tuple[int, str]]
@@ -179,19 +114,22 @@ class CachedTransport:
 
     Cache layout: ``<cache_dir>/<sha256(canonical_url)>.json``.  Cache hits
     never touch the network and never sleep; in offline mode a miss raises
-    :class:`OfflineCacheMiss`.  Network requests from all threads sharing
-    one transport start at least `request_delay_ms` apart.
+    :class:`OfflineCacheMiss`.  A cache file that is not a JSON object
+    raises :class:`CrawlerError` naming the file; it is never refetched.
+    Network requests from all threads sharing one transport start at
+    least `request_delay_ms` apart.
     """
 
     def __init__(self,
                  endpoint: str = DEFAULT_ENDPOINT,
-                 cache_dir: str | Path | None = None,
+                 *,
+                 cache_dir: str | Path,
                  offline: bool = False,
                  user_agent: str = DEFAULT_USER_AGENT,
                  request_delay_ms: int = 100,
                  fetcher: Fetcher | None = None):
         self.endpoint = endpoint
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache_dir = Path(cache_dir)
         self.offline = offline
         self.user_agent = user_agent
         self.request_delay_ms = request_delay_ms
@@ -200,25 +138,29 @@ class CachedTransport:
         self._next_slot = 0.0    # earliest start of the next network request
         self._lock = threading.Lock()
 
-    def cache_path(self, url: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
+    def cache_path(self, url: str) -> Path:
         digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
         return self.cache_dir / f"{digest}.json"
 
     def get(self, params: Mapping[str, str]) -> dict:
         url = canonical_url(self.endpoint, params)
         path = self.cache_path(url)
-        if path is not None and path.is_file():
-            return json.loads(path.read_text("utf-8"))
+        if path.is_file():
+            try:
+                data = json.loads(path.read_text("utf-8"))
+            except ValueError:
+                data = None
+            if not isinstance(data, dict):
+                raise CrawlerError(
+                    f"{path}: cached response for {url} is not a JSON object")
+            return data
         if self.offline:
             raise OfflineCacheMiss(f"offline mode: no cached response for {url}")
         data = self._fetch(url)
         if "error" in data:
             raise ApiError(f"{url}: {data['error']}")
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_text_atomic(path, json.dumps(data))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_text_atomic(path, json.dumps(data))
         return data
 
     def _polite_wait(self) -> None:
@@ -316,12 +258,14 @@ class WikiClient:
         """
         if not keyword.strip():
             raise ValueError("keyword must be non-empty")
-        resp = self.transport.get(search_params(keyword))
+        resp = self.transport.get({
+            **_QUERY, "generator": "search", "gsrsearch": keyword,
+            "gsrnamespace": "0", "gsrlimit": str(SEARCH_LIMIT),
+            "prop": "pageprops", "ppprop": "disambiguation"})
         pages = (resp.get("query") or {}).get("pages") or []
         for page in sorted(pages, key=lambda p: p.get("index", 1 << 30)):
-            if page.get("missing"):
-                continue
-            if "disambiguation" in (page.get("pageprops") or {}):
+            props = page.get("pageprops") or {}
+            if page.get("missing") or "disambiguation" in props:
                 continue
             title = page["title"]
             if title_overlap(title, keyword, self.pipeline):
@@ -331,7 +275,9 @@ class WikiClient:
     def list_categories(self, article: ArticleRef) -> list[CategoryRef]:
         """The article's non-hidden categories, sorted by page id."""
         cats: dict[int, CategoryRef] = {}
-        for resp in self._query_all(categories_params(article.page_id)):
+        for resp in self._query_all({
+                **_QUERY, "generator": "categories", "gclshow": "!hidden",
+                "gcllimit": "500", "pageids": str(article.page_id)}):
             for page in (resp.get("query") or {}).get("pages") or []:
                 if page.get("missing") or page.get("ns") != CATEGORY_NAMESPACE:
                     continue
@@ -344,7 +290,9 @@ class WikiClient:
         """Direct members split into (article pages, subcategories)."""
         pages: dict[int, ArticleRef] = {}
         subcats: dict[int, CategoryRef] = {}
-        for resp in self._query_all(members_params(cat.title)):
+        for resp in self._query_all({
+                **_QUERY, "list": "categorymembers", "cmtitle": cat.title,
+                "cmtype": "page|subcat", "cmlimit": "500"}):
             for member in (resp.get("query") or {}).get("categorymembers") or []:
                 if member["ns"] == ARTICLE_NAMESPACE:
                     pages[member["pageid"]] = ArticleRef(
@@ -357,7 +305,9 @@ class WikiClient:
 
     def fetch_article_text(self, article: ArticleRef) -> str:
         """Plain-text extract, following redirects; empty string if none."""
-        resp = self.transport.get(extract_params(article.page_id))
+        resp = self.transport.get({
+            **_QUERY, "prop": "extracts", "explaintext": "1",
+            "redirects": "1", "pageids": str(article.page_id)})
         pages = (resp.get("query") or {}).get("pages") or []
         if not pages:
             raise PageMissing(f"page id {article.page_id}: no result")
@@ -391,9 +341,16 @@ def dedupe_seeds(matches: Sequence[tuple[str, Optional[ArticleRef]]],
     return sorted(seeds.values(), key=lambda r: r.page_id)
 
 
-def expand(client: WikiClient, seeds: Sequence[ArticleRef],
-           cfg: CrawlConfig) -> CrawlResult:
+def expand(client: WikiClient, seeds: Sequence[ArticleRef], *,
+           depth: int = 1, max_articles: int = 5000,
+           workers: int = 1) -> CrawlResult:
     """Breadth-first expansion of seed articles through the category graph."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if max_articles < 1:
+        raise ValueError(f"max_articles must be >= 1, got {max_articles}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     articles: dict[int, ArticleRef] = {}
     truncated = False
 
@@ -402,7 +359,7 @@ def expand(client: WikiClient, seeds: Sequence[ArticleRef],
         for ref in refs:
             if ref.page_id in articles:
                 continue
-            if len(articles) >= cfg.max_articles:
+            if len(articles) >= max_articles:
                 truncated = True
                 return False
             articles[ref.page_id] = ref
@@ -412,17 +369,16 @@ def expand(client: WikiClient, seeds: Sequence[ArticleRef],
                            key=lambda r: r.page_id)
     room_left = add_pages(ordered_seeds)
 
-    if cfg.depth >= 1 and room_left and ordered_seeds:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_seed = list(pool.map(client.list_categories, ordered_seeds))
+    if depth >= 1 and room_left and ordered_seeds:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             frontier: dict[int, CategoryRef] = {}
-            for cats in per_seed:
+            for cats in pool.map(client.list_categories, ordered_seeds):
                 for cat in cats:
                     frontier.setdefault(cat.page_id, cat)
             visited: set[int] = set(frontier)
             level = sorted(frontier.values(), key=lambda c: c.page_id)
 
-            for hop in range(cfg.depth):
+            for hop in range(depth):
                 if not level or truncated:
                     break
                 log.info("expanding %d categories at hop %d", len(level), hop)
@@ -431,7 +387,7 @@ def expand(client: WikiClient, seeds: Sequence[ArticleRef],
                 for (pages, subcats) in member_lists:
                     if not add_pages(pages):
                         break
-                    if hop + 1 < cfg.depth:
+                    if hop + 1 < depth:
                         for sc in subcats:
                             if sc.page_id not in visited:
                                 next_level.setdefault(sc.page_id, sc)

@@ -10,10 +10,11 @@ accepting the first candidate present in the index.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import WikiHarvestError
 from .preprocess import ADJ, ADV, NOUN, VERB
@@ -58,17 +59,17 @@ class WordnetLexicon:
     source_version: str = ""
 
 
-def _parse_index(path: Path) -> frozenset[str]:
-    lemmas = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.startswith(" ") or not line.strip():
-                continue  # license header / padding
-            fields = line.split()
-            if len(fields) < 2:
-                raise MalformedLine(f"{path}:{lineno}: expected lemma and pos")
-            lemmas.add(fields[0].replace("_", " ").lower())
-    return frozenset(lemmas)
+def _lemmas(path: Path, data: bytes) -> Iterator[str]:
+    """Lemmas of an index file's bytes, decoded and split into lines as
+    text-mode `open` does: lazily, so no decoded copy of the file is held."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith(" ") or not line.strip():
+            continue  # license header / padding
+        fields = line.split()
+        if len(fields) < 2:
+            raise MalformedLine(f"{path}:{lineno}: expected lemma and pos")
+        yield fields[0].replace("_", " ").lower()
 
 
 def _parse_exceptions(path: Path, entries: frozenset[str]) -> dict[str, tuple[str, ...]]:
@@ -101,9 +102,10 @@ def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
         index_path = root / index_name
         if not index_path.is_file():
             raise MissingFile(f"missing WordNet index file: {index_path}")
-        entries[pos] = _parse_index(index_path)
+        data = index_path.read_bytes()
+        entries[pos] = frozenset(_lemmas(index_path, data))
         digest.update(index_name.encode())
-        digest.update(index_path.read_bytes())
+        digest.update(data)
         exc_path = root / exc_name
         exceptions[pos] = (_parse_exceptions(exc_path, entries[pos])
                            if exc_path.is_file() else {})

@@ -20,7 +20,7 @@ from conftest import FIXTURES
 from test_keywords import random_instance, tfidf_oracle
 
 from wikiharvest.corpus import IntegrityError, load_corpus, write_corpus
-from wikiharvest.crawler import ArticleRef, CrawlConfig, WikiClient, expand
+from wikiharvest.crawler import ArticleRef, WikiClient, expand
 from wikiharvest.keywords import filter_generic, score_tfidf
 from wikiharvest.lexicon import make_lemmatizer
 from wikiharvest.preprocess import Token, chunk_noun_phrases, pos_tag
@@ -109,7 +109,7 @@ class TestAcceptance:
                      for pid in seed_ids]
             sets = []
             for depth in range(4):
-                result = expand(client, seeds, CrawlConfig(depth=depth))
+                result = expand(client, seeds, depth=depth)
                 got = {a.page_id for a in result.articles}
                 assert got == reachable_articles(wiki, seed_ids, depth)
                 sets.append(got)

@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, and stdout contracts."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -175,6 +176,37 @@ class TestMineCommand:
         assert set(tmp_path.iterdir()) == before | {tmp_path / "sandbox"}
         assert sorted(p.name for p in out.iterdir()) == \
             ["articles", "keywords.tsv", "manifest.json"]
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5"])
+    def test_bad_source_date_epoch_fails_before_crawl(self, cli,
+                                                      railway_mined,
+                                                      tmp_path, epoch):
+        out = tmp_path / "o"
+        proc = cli("mine", "--input", RAILWAY_RS, "--out", out,
+                   "--wordnet", WORDNET, "--offline",
+                   "--cache", railway_mined.cache,
+                   env_extra={"SOURCE_DATE_EPOCH": epoch})
+        assert proc.returncode == 1
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith(f"error: SOURCE_DATE_EPOCH={epoch!r}")
+        assert not (out / "articles").exists()
+        assert not out.exists()
+
+    def test_corrupt_cache_file_one_line_error(self, cli, railway_mined,
+                                               tmp_path):
+        cache = tmp_path / "cache"
+        shutil.copytree(railway_mined.cache, cache)
+        damaged = sorted(cache.iterdir())[0]
+        damaged.write_text('{"query": ', encoding="utf-8")
+        proc = cli("mine", "--input", RAILWAY_RS, "--out", tmp_path / "o",
+                   "--wordnet", WORDNET, "--offline", "--cache", cache)
+        assert proc.returncode == 1
+        stderr = proc.stderr.decode()
+        assert "Traceback" not in stderr
+        [line] = [ln for ln in stderr.splitlines() if ln.startswith("error:")]
+        assert line.startswith(f"error: {damaged}: cached response for "
+                               "https://en.wikipedia.org/w/api.php?")
+        assert line.endswith(" is not a JSON object")
 
     def test_endpoint_changes_cache_identity(self, cli, railway_mined,
                                              tmp_path):

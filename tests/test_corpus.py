@@ -6,9 +6,10 @@ import stat
 
 import pytest
 
-from wikiharvest.corpus import (DuplicatePageId, IntegrityError,
-                                ManifestMissing, frequency_report,
-                                load_corpus, write_corpus, write_text_atomic)
+from wikiharvest.corpus import (CorpusError, DuplicatePageId, IntegrityError,
+                                ManifestMissing, created_at_now,
+                                frequency_report, load_corpus, write_corpus,
+                                write_text_atomic)
 from wikiharvest.crawler import CachedTransport
 from wikiharvest.keywords import Keyword
 from wikiharvest.testing import FakeWiki
@@ -52,6 +53,27 @@ class TestWriteCorpus:
         first = (out / "manifest.json").read_bytes()
         write_corpus(SAMPLE, out)
         assert (out / "manifest.json").read_bytes() == first
+
+    @pytest.mark.parametrize("epoch, created_at", [
+        ("1700000000", "2023-11-14T22:13:20Z"),
+        ("0", "1970-01-01T00:00:00Z"),
+        ("-86400", "1969-12-31T00:00:00Z"),
+    ])
+    def test_source_date_epoch_pins_created_at(self, monkeypatch, epoch,
+                                               created_at):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert created_at_now() == created_at
+
+    @pytest.mark.parametrize("epoch", [
+        "abc", "1.5", " 17", "1_700", "+17",
+        "\u0661\u0667",             # Arabic-Indic digits: int() takes them
+        "99999999999999999999",     # past datetime's year 9999
+    ])
+    def test_bad_source_date_epoch(self, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(CorpusError) as info:
+            created_at_now()
+        assert str(info.value).startswith(f"SOURCE_DATE_EPOCH={epoch!r}: ")
 
     def test_rerun_removes_unlisted_articles(self, tmp_path):
         out = tmp_path / "c"

@@ -1,5 +1,6 @@
 """Crawler: transport caching/retries, API client, and category expansion."""
 
+import hashlib
 import json
 import random
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from wikiharvest import crawler
 from wikiharvest.crawler import (ApiError, ArticleRef, CachedTransport,
-                                 CategoryRef, CrawlConfig, NetworkError,
+                                 CategoryRef, CrawlerError, NetworkError,
                                  OfflineCacheMiss, PageMissing, WikiClient,
                                  canonical_url, dedupe_seeds, expand,
                                  fetch_all_texts, search_keywords,
@@ -90,6 +91,58 @@ class TestCanonicalUrl:
         assert "rail+transport" in url
 
 
+class TestRequestShapes:
+    """Cache files are named by the request URL, so any change to a
+    request's parameters orphans every cache built before it."""
+
+    def test_canonical_urls_pinned(self, tmp_path):
+        wiki = small_wiki()
+        raw = wiki.fetcher()
+        urls = []
+
+        def recording(url, headers):
+            urls.append(url)
+            return raw(url, headers)
+
+        client = WikiClient(CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                            fetcher=recording,
+                                            request_delay_ms=0))
+        calls = [
+            lambda: client.search_article("rail transport"),
+            lambda: client.list_categories(ArticleRef("Rail transport", 1)),
+            lambda: client.list_category_members(
+                CategoryRef("Category:Rail transport", 900)),
+            lambda: client.fetch_article_text(ArticleRef("Rail transport", 1)),
+        ]
+        got = []
+        for call in calls:
+            urls.clear()
+            call()
+            got.append([url.removeprefix(ENDPOINT + "?") for url in urls])
+        assert got == [
+            ["action=query&format=json&formatversion=2&generator=search"
+             "&gsrlimit=5&gsrnamespace=0&gsrsearch=rail+transport"
+             "&ppprop=disambiguation&prop=pageprops"],
+            ["action=query&format=json&formatversion=2&gcllimit=500"
+             "&gclshow=%21hidden&generator=categories&pageids=1"],
+            ["action=query&cmlimit=500&cmtitle=Category%3ARail+transport"
+             "&cmtype=page%7Csubcat&format=json&formatversion=2"
+             "&list=categorymembers",
+             "action=query&cmcontinue=2&cmlimit=500"
+             "&cmtitle=Category%3ARail+transport&cmtype=page%7Csubcat"
+             "&continue=cmcontinue%7C%7C&format=json&formatversion=2"
+             "&list=categorymembers"],
+            ["action=query&explaintext=1&format=json&formatversion=2"
+             "&pageids=1&prop=extracts&redirects=1"],
+        ]
+
+    def test_railway_cache_file_names_pinned(self, railway_mined):
+        names = sorted(p.name for p in railway_mined.cache.iterdir())
+        assert len(names) == 829
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
+            "3c96af493b54b95adc0c56a21f4f3c7d4de87e0cd701251a4f4fe8db580de2b9"
+
+
 class TestTransport:
     def test_cache_hit_skips_network(self, tmp_path):
         wiki = small_wiki()
@@ -129,7 +182,24 @@ class TestTransport:
         assert cold.get(params) == want
         assert cold.network_requests == 0
 
-    def test_retry_then_success(self, sleeps):
+    @pytest.mark.parametrize("offline", [False, True])
+    @pytest.mark.parametrize("body", [b'{"query": ', b"[1, 2]", b"\xff{}"])
+    def test_corrupt_cache_file_is_error(self, tmp_path, offline, body):
+        fetched = []
+        transport = CachedTransport(
+            ENDPOINT, cache_dir=tmp_path, offline=offline, request_delay_ms=0,
+            fetcher=lambda url, headers: fetched.append(url))
+        url = canonical_url(ENDPOINT, EXTRACT_1)
+        path = transport.cache_path(url)
+        path.write_bytes(body)
+        with pytest.raises(CrawlerError) as info:
+            transport.get(EXTRACT_1)
+        assert str(info.value) == \
+            f"{path}: cached response for {url} is not a JSON object"
+        assert fetched == []          # never silently refetched
+        assert path.read_bytes() == body
+
+    def test_retry_then_success(self, sleeps, tmp_path):
         wiki = small_wiki()
         raw = wiki.fetcher()
         state = {"n": 0}
@@ -140,24 +210,24 @@ class TestTransport:
                 raise NetworkError("boom")
             return raw(url, headers)
 
-        transport = CachedTransport(ENDPOINT, fetcher=flaky,
-                                    request_delay_ms=0)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=flaky, request_delay_ms=0)
         got = transport.get(EXTRACT_1)
         assert state["n"] == 3
         assert "query" in got
         assert sleeps == [0.5, 1.0]
 
-    def test_retries_exhausted(self, sleeps):
+    def test_retries_exhausted(self, sleeps, tmp_path):
         def always_down(url, headers):
             raise NetworkError("down")
 
-        transport = CachedTransport(ENDPOINT, fetcher=always_down,
-                                    request_delay_ms=0)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=always_down, request_delay_ms=0)
         with pytest.raises(NetworkError):
             transport.get({"action": "query"})
         assert sleeps == [0.5, 1.0]
 
-    def test_server_error_retried(self, sleeps):
+    def test_server_error_retried(self, sleeps, tmp_path):
         state = {"n": 0}
         wiki = small_wiki()
         raw = wiki.fetcher()
@@ -168,13 +238,13 @@ class TestTransport:
                 return 503, "busy"
             return raw(url, headers)
 
-        transport = CachedTransport(ENDPOINT, fetcher=flaky,
-                                    request_delay_ms=0)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=flaky, request_delay_ms=0)
         transport.get(EXTRACT_1)
         assert state["n"] == 2
         assert sleeps == [0.5]
 
-    def test_rate_limit_retried(self, sleeps):
+    def test_rate_limit_retried(self, sleeps, tmp_path):
         state = {"n": 0}
         raw = small_wiki().fetcher()
 
@@ -184,32 +254,32 @@ class TestTransport:
                 return 429, "too many requests"
             return raw(url, headers)
 
-        transport = CachedTransport(ENDPOINT, fetcher=limited_once,
-                                    request_delay_ms=0)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=limited_once, request_delay_ms=0)
         assert "query" in transport.get(EXTRACT_1)
         assert state["n"] == 2
         assert sleeps == [0.5]
 
-    def test_client_error_not_retried(self, sleeps):
+    def test_client_error_not_retried(self, sleeps, tmp_path):
         state = {"n": 0}
 
         def gone(url, headers):
             state["n"] += 1
             return 404, "not here"
 
-        transport = CachedTransport(ENDPOINT, fetcher=gone,
-                                    request_delay_ms=0)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=gone, request_delay_ms=0)
         with pytest.raises(ApiError):
             transport.get({"action": "query"})
         assert state["n"] == 1
         assert sleeps == []
 
-    def test_api_error_payload(self):
+    def test_api_error_payload(self, tmp_path):
         def err(url, headers):
             return 200, json.dumps({"error": {"code": "x", "info": "bad"}})
 
-        transport = CachedTransport(ENDPOINT, fetcher=err,
-                                    request_delay_ms=0)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=err, request_delay_ms=0)
         with pytest.raises(ApiError):
             transport.get({"action": "query"})
 
@@ -223,10 +293,10 @@ class TestTransport:
             transport.get({"action": "query"})
         assert list(tmp_path.glob("*.json")) == []
 
-    def test_politeness_delay_between_network_calls(self):
+    def test_politeness_delay_between_network_calls(self, tmp_path):
         wiki = small_wiki()
-        transport = CachedTransport(ENDPOINT, fetcher=wiki.fetcher(),
-                                    request_delay_ms=30)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=wiki.fetcher(), request_delay_ms=30)
         params = {"action": "query", "format": "json", "formatversion": "2",
                   "prop": "extracts", "explaintext": "1", "redirects": "1"}
         start = time.monotonic()
@@ -235,7 +305,7 @@ class TestTransport:
         elapsed = time.monotonic() - start
         assert elapsed >= 0.055  # two inter-request windows of 30 ms
 
-    def test_politeness_delay_shared_by_workers(self):
+    def test_politeness_delay_shared_by_workers(self, tmp_path):
         raw = small_wiki().fetcher()
         starts = []
         lock = threading.Lock()
@@ -246,8 +316,8 @@ class TestTransport:
             return raw(url, headers)
 
         delay_ms = 100
-        transport = CachedTransport(ENDPOINT, fetcher=timed,
-                                    request_delay_ms=delay_ms)
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=timed, request_delay_ms=delay_ms)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -366,24 +436,21 @@ class TestExpand:
     def test_depth_zero_is_seeds_only(self):
         wiki = small_wiki()
         client = client_for(wiki)
-        result = expand(client, self.seeds_of(wiki, [1]),
-                        CrawlConfig(depth=0))
+        result = expand(client, self.seeds_of(wiki, [1]), depth=0)
         assert [a.page_id for a in result.articles] == [1]
         assert not result.frontier_truncated
 
     def test_depth_one_matches_reference_traversal(self):
         wiki = small_wiki()
         client = client_for(wiki)
-        result = expand(client, self.seeds_of(wiki, [1]),
-                        CrawlConfig(depth=1))
+        result = expand(client, self.seeds_of(wiki, [1]), depth=1)
         assert {a.page_id for a in result.articles} == \
             reachable_articles(wiki, [1], 1) == {1, 2, 4}
 
     def test_category_cycle_terminates(self):
         wiki = small_wiki()  # 900 <-> 901 subcat cycle
         client = client_for(wiki)
-        result = expand(client, self.seeds_of(wiki, [1]),
-                        CrawlConfig(depth=4))
+        result = expand(client, self.seeds_of(wiki, [1]), depth=4)
         assert {a.page_id for a in result.articles} == \
             reachable_articles(wiki, [1], 4) == {1, 2, 3, 4}
         ids = [a.page_id for a in result.articles]
@@ -393,7 +460,7 @@ class TestExpand:
         wiki = small_wiki()
         client = client_for(wiki)
         result = expand(client, self.seeds_of(wiki, [1]),
-                        CrawlConfig(depth=1, max_articles=2))
+                        depth=1, max_articles=2)
         assert len(result.articles) == 2
         assert result.frontier_truncated
 
@@ -401,7 +468,7 @@ class TestExpand:
         wiki = small_wiki()
         client = client_for(wiki)
         seeds = self.seeds_of(wiki, [1, 1, 2])
-        result = expand(client, seeds, CrawlConfig(depth=0))
+        result = expand(client, seeds, depth=0)
         assert [a.page_id for a in result.articles] == [1, 2]
 
     def test_monotonicity_random_graphs(self):
@@ -413,7 +480,7 @@ class TestExpand:
             seeds = self.seeds_of(wiki, seed_ids)
             previous: set[int] = set()
             for depth in range(4):
-                result = expand(client, seeds, CrawlConfig(depth=depth))
+                result = expand(client, seeds, depth=depth)
                 got = {a.page_id for a in result.articles}
                 assert got == reachable_articles(wiki, seed_ids, depth)
                 assert previous <= got
@@ -433,7 +500,7 @@ class TestExpand:
                                         fetcher=counting, request_delay_ms=0)
             client = WikiClient(transport)
             seeds = self.seeds_of(wiki, [1])
-            return expand(client, seeds, CrawlConfig(depth=2)), transport
+            return expand(client, seeds, depth=2), transport
 
         first, _t1 = run()
         warm_calls = calls["n"]
@@ -448,24 +515,23 @@ class TestExpand:
         results = []
         for workers in (1, 4):
             client = client_for(railway_wiki)
-            results.append(expand(client, seeds,
-                                  CrawlConfig(depth=2, workers=workers)))
+            results.append(expand(client, seeds, depth=2, workers=workers))
         assert results[0] == results[1]
 
     def test_articles_sorted_by_page_id(self, railway_wiki):
         client = client_for(railway_wiki)
         seeds = self.seeds_of(railway_wiki, [1003, 1001])
-        result = expand(client, seeds, CrawlConfig(depth=1))
+        result = expand(client, seeds, depth=1)
         ids = [a.page_id for a in result.articles]
         assert ids == sorted(ids)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CrawlConfig(depth=-1)
-        with pytest.raises(ValueError):
-            CrawlConfig(max_articles=0)
-        with pytest.raises(ValueError):
-            CrawlConfig(workers=0)
+        wiki = small_wiki()
+        seeds = self.seeds_of(wiki, [1])
+        for settings in ({"depth": -1}, {"max_articles": 0}, {"workers": 0},
+                         {"depth": 0, "workers": 0}):  # depth 0 builds no pool
+            with pytest.raises(ValueError):
+                expand(client_for(wiki), seeds, **settings)
 
 
 class TestOrchestrationHelpers:

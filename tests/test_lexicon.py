@@ -53,6 +53,23 @@ class TestLoad:
         assert a.exceptions == b.exceptions
         assert a.source_version == b.source_version
 
+    def test_source_version_pinned(self, mini_wordnet):
+        # a digest of the four index files; it goes into every manifest
+        assert mini_wordnet.source_version == "e328021e3652"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_index_line_endings(self, tmp_path, fixtures_dir, mini_wordnet,
+                                newline):
+        # lines split as text-mode open() splits them
+        src = fixtures_dir / "wordnet_mini"
+        for name in ("index.noun", "index.verb", "index.adj", "index.adv"):
+            text = (src / name).read_text("utf-8")
+            (tmp_path / name).write_bytes(
+                text.replace("\n", newline).encode("utf-8"))
+        lex = load_wordnet(tmp_path)
+        assert lex.entries == mini_wordnet.entries
+        assert lex.source_version != mini_wordnet.source_version
+
     def test_underscores_decoded(self, tmp_path, fixtures_dir):
         src = fixtures_dir / "wordnet_mini"
         for name in ("index.verb", "index.adj", "index.adv"):
