@@ -56,7 +56,11 @@ class CorpusManifest:
     wordnet_version: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, indent=2) + "\n"
+        """`asdict` would deep-copy every article entry; only the
+        keywords need converting."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["keywords"] = [asdict(kw) for kw in self.keywords]
+        return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusManifest":

@@ -1,6 +1,6 @@
 """MediaWiki crawling: keyword search, category traversal, text extracts.
 
-All requests go through a transport with an on-disk response cache keyed
+All requests go through a transport with an on-disk response log keyed
 by the canonical request URL.  With a warm cache the crawler runs fully
 offline; in `offline` mode a cache miss is a hard error, which is what
 makes recorded crawls replayable byte-for-byte.
@@ -15,9 +15,10 @@ so the output is independent of fetch interleaving.
 
 from __future__ import annotations
 
+import fcntl
 import json
-import hashlib
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,6 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 from urllib.parse import urlencode
 
 from . import __version__
-from .corpus import write_text_atomic
 from .errors import WikiHarvestError
 from .preprocess import NOUN, Pipeline, content_tokens, default_pipeline
 
@@ -41,6 +41,7 @@ CATEGORY_NAMESPACE = 14
 
 SEARCH_LIMIT = 5        # search results considered per keyword
 MIN_TITLE_OVERLAP = 1   # content tokens a title must share with its keyword
+LOG_NAME = "responses.jsonl"  # the response log under a cache directory
 MAX_ATTEMPTS = 3        # network attempts per request
 BACKOFF_MS = 500        # wait before the first retry; doubles per retry
 
@@ -112,12 +113,20 @@ def _requests_fetcher(url: str, headers: Mapping[str, str]) -> tuple[int, str]:
 class CachedTransport:
     """HTTP layer with disk cache, retries, and a politeness delay.
 
-    Cache layout: ``<cache_dir>/<sha256(canonical_url)>.json``.  Cache hits
-    never touch the network and never sleep; in offline mode a miss raises
-    :class:`OfflineCacheMiss`.  A cache file that is not a JSON object
-    raises :class:`CrawlerError` naming the file; it is never refetched.
-    Network requests from all threads sharing one transport start at
-    least `request_delay_ms` apart.
+    Cache layout: one append-only log, ``<cache_dir>/responses.jsonl``,
+    with one line per response: canonical URL, tab, JSON body, newline.
+    The first `get` indexes the log (URL -> body offset and length, not
+    the body); a hit reads its body with `os.pread`.  The log is opened
+    per call and closed before it returns: a transport holds no file.
+
+    A miss appends under the transport's lock and an exclusive
+    `fcntl.flock`, first indexing what other processes appended and
+    cutting off a torn last record (no newline), which is never read as
+    a response.  In offline mode the log is only read, and a miss raises
+    :class:`OfflineCacheMiss`.  Hits never touch the network or sleep.
+    A body that is not a JSON object raises :class:`CrawlerError` naming
+    the log and the URL; it is never refetched.  Network requests from
+    all threads sharing one transport start `request_delay_ms` apart.
     """
 
     def __init__(self,
@@ -128,8 +137,11 @@ class CachedTransport:
                  user_agent: str = DEFAULT_USER_AGENT,
                  request_delay_ms: int = 100,
                  fetcher: Fetcher | None = None):
+        if "\t" in endpoint or "\n" in endpoint:
+            raise ValueError(f"endpoint {endpoint!r} contains a tab or newline")
         self.endpoint = endpoint
         self.cache_dir = Path(cache_dir)
+        self.log_path = self.cache_dir / LOG_NAME
         self.offline = offline
         self.user_agent = user_agent
         self.request_delay_ms = request_delay_ms
@@ -137,31 +149,86 @@ class CachedTransport:
         self.network_requests = 0
         self._next_slot = 0.0    # earliest start of the next network request
         self._lock = threading.Lock()
-
-    def cache_path(self, url: str) -> Path:
-        digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
-        return self.cache_dir / f"{digest}.json"
+        self._index: Optional[dict[str, tuple[int, int]]] = None
+        self._end = 0            # log offset just past the last indexed record
 
     def get(self, params: Mapping[str, str]) -> dict:
         url = canonical_url(self.endpoint, params)
-        path = self.cache_path(url)
-        if path.is_file():
+        if self._index is None:
+            with self._lock:
+                if self._index is None:
+                    self._index = self._read_log()
+        found = self._index.get(url)
+        if found is not None:
+            offset, length = found
+            with open(self.log_path, "rb", buffering=0) as fh:
+                body = os.pread(fh.fileno(), length, offset)
             try:
-                data = json.loads(path.read_text("utf-8"))
+                data = json.loads(body.decode("utf-8"))
             except ValueError:
                 data = None
             if not isinstance(data, dict):
-                raise CrawlerError(
-                    f"{path}: cached response for {url} is not a JSON object")
+                raise CrawlerError(f"{self.log_path}: cached response for "
+                                   f"{url} is not a JSON object")
             return data
         if self.offline:
             raise OfflineCacheMiss(f"offline mode: no cached response for {url}")
         data = self._fetch(url)
-        if "error" in data:
-            raise ApiError(f"{url}: {data['error']}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, json.dumps(data))
+        self._append(url, data)
         return data
+
+    def _read_log(self) -> dict[str, tuple[int, int]]:
+        """Index the log's complete records under a shared lock."""
+        index: dict[str, tuple[int, int]] = {}
+        try:
+            fh = open(self.log_path, "rb")
+        except FileNotFoundError:
+            return index
+        with fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            self._scan(fh, index)
+        return index
+
+    def _scan(self, fh, index: dict[str, tuple[int, int]]) -> int:
+        """Index the complete records from `self._end` on and move
+        `self._end` past them.  Returns the log's size, which is larger
+        than `self._end` when the last record is torn."""
+        fh.seek(self._end)
+        pos = self._end
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break                      # torn: never a response
+            tab = line.find(b"\t")
+            if tab < 0:
+                raise CrawlerError(f"{self.log_path}: the record at byte "
+                                   f"{pos} is not <url>\\t<json body>")
+            url = line[:tab].decode("utf-8", "surrogateescape")
+            index[url] = (pos + tab + 1, len(line) - tab - 2)
+            pos += len(line)
+        self._end = pos
+        return fh.seek(0, os.SEEK_END)
+
+    def _append(self, url: str, data: dict) -> None:
+        """Append one record, unless another thread or process already
+        logged this URL; a torn last record is cut off first."""
+        record = f"{url}\t{json.dumps(data)}\n".encode("utf-8")
+        with self._lock:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            with open(self.log_path, "a+b") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)    # released by the close
+                size = self._scan(fh, self._index)
+                if size < self._end:
+                    raise CrawlerError(f"{self.log_path}: shorter than when "
+                                       "it was read; another program cut it")
+                if size > self._end:
+                    fh.truncate(self._end)        # cut a torn last record
+                if url in self._index:
+                    return
+                fh.write(record)
+                fh.flush()
+                tab = record.index(b"\t")
+                self._index[url] = (self._end + tab + 1, len(record) - tab - 2)
+                self._end += len(record)
 
     def _polite_wait(self) -> None:
         """Reserve the next request slot under the lock, then sleep until it."""
@@ -199,9 +266,14 @@ class CachedTransport:
             if status != 200:
                 raise ApiError(f"{url}: unexpected HTTP status {status}")
             try:
-                return json.loads(body)
+                data = json.loads(body)
             except json.JSONDecodeError as exc:
                 raise ApiError(f"{url}: response is not JSON ({exc})") from exc
+            if not isinstance(data, dict):
+                raise ApiError(f"{url}: response is not a JSON object")
+            if "error" in data:
+                raise ApiError(f"{url}: {data['error']}")
+            return data
         assert last_error is not None
         raise last_error
 

@@ -196,17 +196,19 @@ class TestMineCommand:
                                                tmp_path):
         cache = tmp_path / "cache"
         shutil.copytree(railway_mined.cache, cache)
-        damaged = sorted(cache.iterdir())[0]
-        damaged.write_text('{"query": ', encoding="utf-8")
+        damaged = cache / "responses.jsonl"
+        first, rest = damaged.read_bytes().split(b"\n", 1)
+        url = first.split(b"\t")[0].decode()
+        damaged.write_bytes(f'{url}\t{{"query": \n'.encode() + rest)
         proc = cli("mine", "--input", RAILWAY_RS, "--out", tmp_path / "o",
                    "--wordnet", WORDNET, "--offline", "--cache", cache)
         assert proc.returncode == 1
         stderr = proc.stderr.decode()
         assert "Traceback" not in stderr
         [line] = [ln for ln in stderr.splitlines() if ln.startswith("error:")]
-        assert line.startswith(f"error: {damaged}: cached response for "
-                               "https://en.wikipedia.org/w/api.php?")
-        assert line.endswith(" is not a JSON object")
+        assert line == (f"error: {damaged}: cached response for {url} "
+                        "is not a JSON object")
+        assert url.startswith("https://en.wikipedia.org/w/api.php?")
 
     def test_endpoint_changes_cache_identity(self, cli, railway_mined,
                                              tmp_path):

@@ -102,6 +102,7 @@ class TestWriteCorpus:
             os.umask(old)
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert len(files) == 1 + len(SAMPLE) + 1
+        assert tmp_path / "cache" / "responses.jsonl" in files
         assert not [p for p in files if p.name.endswith(".tmp")]
         assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}
 

@@ -1,11 +1,15 @@
 """Crawler: transport caching/retries, API client, and category expansion."""
 
+import fcntl
+import gc
 import hashlib
 import json
+import multiprocessing
 import random
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -23,6 +27,33 @@ ENDPOINT = "https://en.wikipedia.org/w/api.php"
 EXTRACT_1 = {"action": "query", "format": "json", "formatversion": "2",
              "prop": "extracts", "explaintext": "1", "redirects": "1",
              "pageids": "1"}
+LOG_NAME = "responses.jsonl"
+
+
+def echo_fetcher(url, headers):
+    """Answers every request with a JSON object naming its URL."""
+    return 200, json.dumps({"url": url})
+
+
+def log_urls(cache_dir):
+    """The URL of every record in a cache directory's log, in file order.
+    Every record must be one line: a URL, a tab and a JSON object."""
+    urls = []
+    for line in (cache_dir / LOG_NAME).read_bytes().split(b"\n")[:-1]:
+        url, tab, body = line.partition(b"\t")
+        assert tab and isinstance(json.loads(body), dict)
+        urls.append(url.decode())
+    return urls
+
+
+def fill_cache(cache_dir, pageids, start):
+    """Worker process body: once every worker is at `start`, fetch the
+    extract of every page id through a transport on `cache_dir`."""
+    transport = CachedTransport(ENDPOINT, cache_dir=cache_dir,
+                                fetcher=echo_fetcher, request_delay_ms=0)
+    start.wait(timeout=30)
+    for pid in pageids:
+        transport.get({**EXTRACT_1, "pageids": str(pid)})
 
 
 def client_for(wiki, pipeline=None):
@@ -92,7 +123,7 @@ class TestCanonicalUrl:
 
 
 class TestRequestShapes:
-    """Cache files are named by the request URL, so any change to a
+    """Cached responses are keyed by the request URL, so any change to a
     request's parameters orphans every cache built before it."""
 
     def test_canonical_urls_pinned(self, tmp_path):
@@ -137,8 +168,12 @@ class TestRequestShapes:
         ]
 
     def test_railway_cache_file_names_pinned(self, railway_mined):
-        names = sorted(p.name for p in railway_mined.cache.iterdir())
-        assert len(names) == 829
+        # the pin is over the names the URLs had as one file each
+        assert [p.name for p in railway_mined.cache.iterdir()] == [LOG_NAME]
+        urls = log_urls(railway_mined.cache)
+        names = sorted(hashlib.sha256(url.encode()).hexdigest() + ".json"
+                       for url in urls)
+        assert len(names) == len(set(names)) == 829
         assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
             "3c96af493b54b95adc0c56a21f4f3c7d4de87e0cd701251a4f4fe8db580de2b9"
 
@@ -162,7 +197,8 @@ class TestTransport:
         second = transport.get(params)
         assert first == second
         assert calls["n"] == 1
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [LOG_NAME]
+        assert log_urls(tmp_path) == [canonical_url(ENDPOINT, params)]
 
     def test_offline_miss_is_error(self, tmp_path):
         transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
@@ -186,18 +222,187 @@ class TestTransport:
     @pytest.mark.parametrize("body", [b'{"query": ', b"[1, 2]", b"\xff{}"])
     def test_corrupt_cache_file_is_error(self, tmp_path, offline, body):
         fetched = []
+        url = canonical_url(ENDPOINT, EXTRACT_1)
+        path = tmp_path / LOG_NAME
+        log = url.encode() + b"\t" + body + b"\n"
+        path.write_bytes(log)
         transport = CachedTransport(
             ENDPOINT, cache_dir=tmp_path, offline=offline, request_delay_ms=0,
             fetcher=lambda url, headers: fetched.append(url))
-        url = canonical_url(ENDPOINT, EXTRACT_1)
-        path = transport.cache_path(url)
-        path.write_bytes(body)
         with pytest.raises(CrawlerError) as info:
             transport.get(EXTRACT_1)
         assert str(info.value) == \
             f"{path}: cached response for {url} is not a JSON object"
         assert fetched == []          # never silently refetched
-        assert path.read_bytes() == body
+        assert path.read_bytes() == log
+
+    @pytest.mark.parametrize("offline", [False, True])
+    def test_record_without_tab_is_error(self, tmp_path, offline):
+        fetched = []
+        path = tmp_path / LOG_NAME
+        good = f"{canonical_url(ENDPOINT, EXTRACT_1)}\t{{}}\n".encode()
+        log = good + b'no tab {"query": {}}\n'
+        path.write_bytes(log)
+        transport = CachedTransport(
+            ENDPOINT, cache_dir=tmp_path, offline=offline, request_delay_ms=0,
+            fetcher=lambda url, headers: fetched.append(url))
+        for _ in range(2):            # the index is not left half-built
+            with pytest.raises(CrawlerError) as info:
+                transport.get(EXTRACT_1)
+            assert str(info.value) == (f"{path}: the record at byte "
+                                       f"{len(good)} is not <url>\\t<json body>")
+        assert fetched == []
+        assert path.read_bytes() == log
+
+    def test_torn_last_record(self, tmp_path):
+        """A run killed while appending leaves its last record without a
+        newline.  Offline, that record is a miss and the log is left as it
+        is; online, it is refetched and cut off before the append."""
+        pages = [{**EXTRACT_1, "pageids": str(pid)} for pid in (1, 2, 3, 4)]
+        warm = CachedTransport(ENDPOINT, cache_dir=tmp_path / "warm",
+                               fetcher=small_wiki().fetcher(),
+                               request_delay_ms=0)
+        want = [warm.get(params) for params in pages]
+        whole = (tmp_path / "warm" / LOG_NAME).read_bytes()
+        last = whole.rindex(b"\n", 0, -1) + 1     # start of the 4th record
+        for cut in range(last + 1, len(whole)):
+            cache = tmp_path / f"cut{cut}"
+            cache.mkdir()
+            path = cache / LOG_NAME
+            path.write_bytes(whole[:cut])
+
+            offline = CachedTransport(ENDPOINT, cache_dir=cache, offline=True)
+            assert [offline.get(p) for p in pages[:3]] == want[:3]
+            with pytest.raises(OfflineCacheMiss):
+                offline.get(pages[3])
+            assert path.read_bytes() == whole[:cut]
+
+            fetched = []
+            raw = small_wiki().fetcher()
+
+            def counting(url, headers):
+                fetched.append(url)
+                return raw(url, headers)
+
+            online = CachedTransport(ENDPOINT, cache_dir=cache,
+                                     fetcher=counting, request_delay_ms=0)
+            assert online.get(pages[3]) == want[3]
+            assert fetched == [canonical_url(ENDPOINT, pages[3])]
+            extra = {**EXTRACT_1, "pageids": "6"}
+            online.get(extra)
+            replay = CachedTransport(ENDPOINT, cache_dir=cache, offline=True)
+            assert [replay.get(p) for p in pages] == want
+            assert replay.get(extra) == online.get(extra)
+            assert path.read_bytes().startswith(whole)
+            assert len(log_urls(cache)) == 5
+
+    def test_threads_append_every_record(self, tmp_path):
+        urls = [{**EXTRACT_1, "pageids": str(pid)} for pid in range(200)]
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=echo_fetcher, request_delay_ms=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                # each URL is asked for twice
+                list(pool.map(transport.get, urls + urls[::-1], timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        want = sorted(canonical_url(ENDPOINT, p) for p in urls)
+        assert sorted(log_urls(tmp_path)) == want
+        replay = CachedTransport(ENDPOINT, cache_dir=tmp_path, offline=True)
+        assert [replay.get(p)["url"] for p in urls] == \
+            [canonical_url(ENDPOINT, p) for p in urls]
+
+    def test_two_processes_share_one_cache(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        shares = [range(0, 120), range(60, 180)]    # 60 pages in common
+        start = ctx.Barrier(len(shares))
+        procs = [ctx.Process(target=fill_cache, args=(tmp_path, share, start))
+                 for share in shares]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        urls = [canonical_url(ENDPOINT, {**EXTRACT_1, "pageids": str(pid)})
+                for pid in range(180)]
+        assert sorted(log_urls(tmp_path)) == sorted(urls)  # no duplicates
+        replay = CachedTransport(ENDPOINT, cache_dir=tmp_path, offline=True)
+        assert [replay.get({**EXTRACT_1, "pageids": str(pid)})["url"]
+                for pid in range(180)] == urls
+
+    def test_append_waits_for_the_file_lock(self, tmp_path):
+        """Another process holding the log's lock holds back an append;
+        a record it logged meanwhile for the same URL is not repeated."""
+        url = canonical_url(ENDPOINT, EXTRACT_1)
+        page_2 = {**EXTRACT_1, "pageids": "2"}
+        path = tmp_path / LOG_NAME
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=echo_fetcher, request_delay_ms=0)
+        transport.get(page_2)         # the log is indexed before the lock
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with open(path, "ab") as other:
+                fcntl.flock(other, fcntl.LOCK_EX)
+                pending = pool.submit(transport.get, EXTRACT_1)
+                time.sleep(0.2)
+                assert not pending.done()
+                other.write(f"{url}\t{{\"other\": 1}}\n".encode())
+            assert pending.result(timeout=10) == {"url": url}
+        assert transport.network_requests == 2
+        assert log_urls(tmp_path) == [canonical_url(ENDPOINT, page_2), url]
+        assert transport.get(EXTRACT_1) == {"other": 1}
+
+    def test_first_read_waits_for_the_file_lock(self, tmp_path):
+        """The log is indexed under a shared lock, so a record another
+        process is still appending is read whole, not as a torn tail."""
+        record = f"{canonical_url(ENDPOINT, EXTRACT_1)}\t{{\"n\": 1}}\n"
+        path = tmp_path / LOG_NAME
+        replay = CachedTransport(ENDPOINT, cache_dir=tmp_path, offline=True)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with open(path, "ab", buffering=0) as other:
+                fcntl.flock(other, fcntl.LOCK_EX)
+                other.write(record[:20].encode())
+                pending = pool.submit(replay.get, EXTRACT_1)
+                time.sleep(0.2)
+                assert not pending.done()
+                other.write(record[20:].encode())
+            assert pending.result(timeout=10) == {"n": 1}
+
+    def test_log_cut_by_another_program_is_error(self, tmp_path):
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=echo_fetcher, request_delay_ms=0)
+        transport.get(EXTRACT_1)
+        (tmp_path / LOG_NAME).write_bytes(b"")
+        with pytest.raises(CrawlerError, match="another program cut it"):
+            transport.get({**EXTRACT_1, "pageids": "2"})
+        assert (tmp_path / LOG_NAME).read_bytes() == b""
+
+    @pytest.mark.parametrize("endpoint", [ENDPOINT + "\t", ENDPOINT + "\n"])
+    def test_endpoint_cannot_break_a_record(self, tmp_path, endpoint):
+        with pytest.raises(ValueError):
+            CachedTransport(endpoint, cache_dir=tmp_path)
+
+    def test_no_leaked_file_handles(self, tmp_path):
+        """The transport opens the log per call and closes it before
+        returning, so it holds no file that garbage collection could
+        find still open."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                        fetcher=small_wiki().fetcher(),
+                                        request_delay_ms=0)
+            for pid in ("1", "2", "1", "2"):      # misses, then hits
+                transport.get({**EXTRACT_1, "pageids": pid})
+            replay = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                     offline=True)
+            replay.get(EXTRACT_1)
+            with pytest.raises(OfflineCacheMiss):
+                replay.get({**EXTRACT_1, "pageids": "3"})
+            del transport, replay
+            gc.collect()
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_retry_then_success(self, sleeps, tmp_path):
         wiki = small_wiki()
@@ -291,7 +496,20 @@ class TestTransport:
                                     fetcher=err, request_delay_ms=0)
         with pytest.raises(ApiError):
             transport.get({"action": "query"})
-        assert list(tmp_path.glob("*.json")) == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body", ["[1, 2]", "5", '"no errors"'])
+    def test_non_object_response_not_cached(self, tmp_path, body):
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=small_wiki().fetcher(),
+                                    request_delay_ms=0)
+        transport.get(EXTRACT_1)
+        log = (tmp_path / LOG_NAME).read_bytes()
+        transport.fetcher = lambda url, headers: (200, body)
+        with pytest.raises(ApiError) as info:
+            transport.get({"action": "query"})
+        assert str(info.value).endswith(": response is not a JSON object")
+        assert (tmp_path / LOG_NAME).read_bytes() == log
 
     def test_politeness_delay_between_network_calls(self, tmp_path):
         wiki = small_wiki()
