@@ -172,7 +172,12 @@ class CachedTransport:
                                    f"{url} is not a JSON object")
             return data
         if self.offline:
-            raise OfflineCacheMiss(f"offline mode: no cached response for {url}")
+            hint = ("" if self.log_path.exists()
+                    or not any(self.cache_dir.glob("*.json")) else
+                    f"; {self.cache_dir} holds per-response *.json files, "
+                    "which this version does not read: re-mine it online")
+            raise OfflineCacheMiss(
+                f"offline mode: no cached response for {url}{hint}")
         data = self._fetch(url)
         self._append(url, data)
         return data

@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
-from .errors import WikiHarvestError
+from .errors import WikiHarvestError, utf8_problem
 from .preprocess import ADJ, ADV, NOUN, VERB
 
 
@@ -59,41 +59,33 @@ class WordnetLexicon:
     source_version: str = ""
 
 
-def _lemmas(path: Path, data: bytes) -> Iterator[str]:
-    """Lemmas of an index file's bytes, decoded and split into lines as
-    text-mode `open` does: lazily, so no decoded copy of the file is held."""
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+def _word(field: str) -> str:
+    return field.replace("_", " ").lower()
+
+
+def _entry_lines(path: Path, data: bytes, expected: str
+                 ) -> Iterator[list[str]]:
+    """The fields of each entry line of a database file's bytes, decoded
+    and split into lines as text-mode `open` does: lazily, so no decoded
+    copy of the file is held."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                             errors="surrogateescape")
     for lineno, line in enumerate(lines, 1):
+        if problem := utf8_problem(line):
+            raise MalformedLine(f"{path}:{lineno}: {problem}")
         if line.startswith(" ") or not line.strip():
             continue  # license header / padding
         fields = line.split()
         if len(fields) < 2:
-            raise MalformedLine(f"{path}:{lineno}: expected lemma and pos")
-        yield fields[0].replace("_", " ").lower()
-
-
-def _parse_exceptions(path: Path, entries: frozenset[str]) -> dict[str, tuple[str, ...]]:
-    table: dict[str, tuple[str, ...]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.startswith(" ") or not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected inflected form and base form")
-            form = fields[0].replace("_", " ").lower()
-            bases = tuple(
-                b for b in (f.replace("_", " ").lower() for f in fields[1:])
-                if b in entries
-            )
-            if bases:
-                table[form] = bases
-    return table
+            raise MalformedLine(f"{path}:{lineno}: expected {expected}")
+        yield fields
 
 
 def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
-    """Load the index and exception files from a WordNet directory."""
+    """Load the index and exception files from a WordNet directory.
+
+    `source_version` digests the name and bytes of every file read, the
+    exception lists included."""
     root = Path(directory_path)
     entries: dict[str, frozenset[str]] = {}
     exceptions: dict[str, dict[str, tuple[str, ...]]] = {}
@@ -103,12 +95,23 @@ def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
         if not index_path.is_file():
             raise MissingFile(f"missing WordNet index file: {index_path}")
         data = index_path.read_bytes()
-        entries[pos] = frozenset(_lemmas(index_path, data))
         digest.update(index_name.encode())
         digest.update(data)
+        entries[pos] = frozenset(
+            _word(fields[0])
+            for fields in _entry_lines(index_path, data, "lemma and pos"))
+        exceptions[pos] = table = {}
         exc_path = root / exc_name
-        exceptions[pos] = (_parse_exceptions(exc_path, entries[pos])
-                           if exc_path.is_file() else {})
+        if not exc_path.is_file():
+            continue
+        data = exc_path.read_bytes()
+        digest.update(exc_name.encode())
+        digest.update(data)
+        for form, *bases in _entry_lines(exc_path, data,
+                                         "inflected form and base form"):
+            known = tuple(b for b in map(_word, bases) if b in entries[pos])
+            if known:
+                table[_word(form)] = known
     return WordnetLexicon(entries=entries, exceptions=exceptions,
                           source_version=digest.hexdigest()[:12])
 

@@ -11,13 +11,12 @@ so importing this module (and the CLI) does not load it.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Container, Mapping, NoReturn
+from typing import TYPE_CHECKING, Callable, Container, Mapping
 
 from .corpus import Corpus
-from .errors import WikiHarvestError
+from .errors import WikiHarvestError, utf8_problem
 from .preprocess import content_tokens
 
 if TYPE_CHECKING:
@@ -68,84 +67,65 @@ class RelatednessReport:
 
 # Rows parsed per call of numpy's parser.
 _CHUNK_ROWS = 256
-# A byte that is not UTF-8, as the "surrogateescape" error handler reads it.
-_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 # ASCII separators that numpy skips around a number and float() rejects.
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-class _RowParser:
-    """Parses vector rows a chunk at a time, keeping the rows of `words`.
+def _parse_chunk(path: Path, rows: list[tuple[int, str, str, str]],
+                 dimension: int) -> np.ndarray:
+    """Parse `rows`, ``(lineno, token, space, rest)``, into one block of
+    `dimension` columns (of the first row's width when 0).
 
-    A chunk goes to numpy's parser.  If that fails, or the chunk's width
-    is not the file's dimension, the chunk is parsed again row by row with
+    numpy's parser reads a chunk whose rows all have a decodable token
+    and components, none holding a separator only numpy skips; it rejects
+    an undecodable byte among the components.  Any other chunk, and one
+    numpy rejects or reads at another width, is parsed row by row with
     `float()`: that raises the first error in file order and accepts the
     spellings numpy rejects ("1_0", non-ASCII digits).
     """
-
-    def __init__(self, path: Path, words: Container[str]):
-        self.path = path
-        self.words = words
-        self.dimension = 0
-        self.vectors: dict[str, np.ndarray] = {}
-        self.rows: list[tuple[int, str, str]] = []  # (lineno, token, rest)
-
-    def add(self, lineno: int, token: str, rest: str) -> None:
-        self.rows.append((lineno, token, rest))
-        if len(self.rows) == _CHUNK_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        rows, self.rows = self.rows, []
-        if not rows:
-            return
-        block = self._parse_chunk([rest for _, _, rest in rows])
-        if block is None:
-            self._parse_rows(rows)
-            return
-        self.dimension = block.shape[1]
-        for (_, token, _), row in zip(rows, block):
-            self._keep(token, row)
-
-    def _parse_chunk(self, rests: list[str]) -> np.ndarray | None:
-        import numpy as np
-        if any(c in rest for rest in rests for c in _NUMPY_ONLY_SPACE):
-            return None
+    import numpy as np
+    rests = [rest for _, _, _, rest in rows]
+    if all(token and space and not utf8_problem(token)
+           for _, token, space, _ in rows) and \
+            not any(c in rest for rest in rests for c in _NUMPY_ONLY_SPACE):
         try:
             block = np.loadtxt(rests, dtype=np.float64, delimiter=" ",
                                comments=None, quotechar=None, ndmin=2)
         except ValueError:
-            return None
-        if block.shape[0] != len(rests) or \
-                block.shape[1] != (self.dimension or block.shape[1]):
-            return None
-        return block
+            block = None
+        if block is not None and \
+                block.shape == (len(rows), dimension or block.shape[1]):
+            return block
+    parsed = []
+    for lineno, token, space, rest in rows:
+        if problem := utf8_problem(token + space + rest):
+            raise MalformedVectorLine(f"{path}:{lineno}: {problem}")
+        if not token or not space:
+            raise MalformedVectorLine(
+                f"{path}:{lineno}: expected token and vector components")
+        try:
+            vec = [float(v) for v in rest.split(" ")]
+        except ValueError as exc:
+            raise MalformedVectorLine(f"{path}:{lineno}: {exc}") from exc
+        dimension = dimension or len(vec)
+        if len(vec) != dimension:
+            raise InconsistentDimension(
+                f"{path}:{lineno}: dimension {len(vec)} != {dimension}")
+        parsed.append(vec)
+    return np.array(parsed, dtype=np.float64)
 
-    def _parse_rows(self, rows: list[tuple[int, str, str]]) -> None:
-        import numpy as np
-        for lineno, token, rest in rows:
-            try:
-                vec = np.array([float(v) for v in rest.split(" ")],
-                               dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedVectorLine(
-                    f"{self.path}:{lineno}: {exc}") from exc
-            if self.dimension == 0:
-                self.dimension = vec.shape[0]
-            elif vec.shape[0] != self.dimension:
-                raise InconsistentDimension(
-                    f"{self.path}:{lineno}: dimension {vec.shape[0]} != "
-                    f"{self.dimension}")
-            self._keep(token, vec)
 
-    def _keep(self, token: str, row: np.ndarray) -> None:
-        if token in self.words and token not in self.vectors:
-            self.vectors[token] = row.copy()
-
-    def fail(self, lineno: int, problem: str) -> NoReturn:
-        """Raise for line `lineno`, after the rows before it are checked."""
-        self.flush()
-        raise MalformedVectorLine(f"{self.path}:{lineno}: {problem}")
+def _keep_rows(path: Path, rows: list[tuple[int, str, str, str]],
+               dimension: int, words: Container[str],
+               vectors: dict[str, np.ndarray]) -> int:
+    """Parse one chunk and copy the rows of `words` not yet in `vectors`
+    out of its block; returns the block's width.  A kept row is a copy:
+    a view would keep the whole block alive."""
+    block = _parse_chunk(path, rows, dimension)
+    for (_, token, _, _), row in zip(rows, block):
+        if token in words and token not in vectors:
+            vectors[token] = row.copy()
+    return block.shape[1]
 
 
 def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
@@ -154,18 +134,18 @@ def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
     Each line is ``token v1 v2 ... vd``; an optional leading header line
     holds the vocabulary size and dimension.  Trailing whitespace and
     blank lines are ignored; duplicate tokens keep their first occurrence.
-    Every row is parsed and checked; only the rows of `words` are kept.
+    Every row is parsed and checked, `_CHUNK_ROWS` at a time; only the
+    rows of `words` are kept.
     """
     path = Path(path)
-    parser = _RowParser(path, words)
+    vectors: dict[str, np.ndarray] = {}
+    dimension = 0
+    rows: list[tuple[int, str, str, str]] = []
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip()
             if not line:
                 continue
-            if not line.isascii() and (bad := _UNDECODABLE_RE.search(line)):
-                parser.fail(lineno, "not valid UTF-8 (byte 0x%02x)"
-                            % (ord(bad.group()) - 0xdc00))
             token, space, rest = line.partition(" ")
             if lineno == 1 and space and " " not in rest:
                 try:
@@ -173,11 +153,13 @@ def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
                     continue  # header line: count and dimension
                 except ValueError:
                     pass
-            if not token or not space:
-                parser.fail(lineno, "expected token and vector components")
-            parser.add(lineno, token, rest)
-    parser.flush()
-    return EmbeddingTable(dimension=parser.dimension, vectors=parser.vectors)
+            rows.append((lineno, token, space, rest))
+            if len(rows) == _CHUNK_ROWS:
+                dimension = _keep_rows(path, rows, dimension, words, vectors)
+                rows = []
+    if rows:
+        dimension = _keep_rows(path, rows, dimension, words, vectors)
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ class FakeWiki:
         self.articles: dict[int, dict] = {}
         self.categories: dict[int, dict] = {}
         self.searches: dict[str, list[int]] = {}
-        self._members: Optional[dict[int, list[int]]] = None
-        self._cat_by_title: Optional[dict[str, int]] = None
 
     # -- construction -------------------------------------------------
 
@@ -53,41 +51,23 @@ class FakeWiki:
             "disambiguation": disambiguation,
             "redirect_to": redirect_to,
         }
-        self._invalidate()
         return page_id
 
     def add_category(self, page_id: int, name: str,
                      subcats: Sequence[int] = ()) -> int:
         title = name if name.startswith(CATEGORY_PREFIX) else CATEGORY_PREFIX + name
         self.categories[page_id] = {"title": title, "subcats": list(subcats)}
-        self._invalidate()
         return page_id
 
     def add_search(self, keyword: str, page_ids: Sequence[int]) -> None:
         self.searches[keyword] = list(page_ids)
 
-    def _invalidate(self) -> None:
-        self._members = None
-        self._cat_by_title = None
-
-    # -- derived indexes ----------------------------------------------
+    # -- derived from the graph on every call ---------------------------
 
     def members_of(self, cat_id: int) -> list[int]:
         """Article page ids directly inside a category, ascending."""
-        if self._members is None:
-            members: dict[int, list[int]] = {cid: [] for cid in self.categories}
-            for pid in sorted(self.articles):
-                for cid in self.articles[pid]["categories"]:
-                    members.setdefault(cid, []).append(pid)
-            self._members = members
-        return self._members.get(cat_id, [])
-
-    def category_id(self, title: str) -> Optional[int]:
-        if self._cat_by_title is None:
-            self._cat_by_title = {
-                data["title"]: cid for cid, data in self.categories.items()
-            }
-        return self._cat_by_title.get(title)
+        return [pid for pid in sorted(self.articles)
+                for cid in self.articles[pid]["categories"] if cid == cat_id]
 
     # -- request handling ----------------------------------------------
 
@@ -145,8 +125,8 @@ class FakeWiki:
         return resp
 
     def _handle_members(self, params: Mapping[str, str]) -> dict:
-        title = params.get("cmtitle", "")
-        cat_id = self.category_id(title)
+        by_title = {cat["title"]: cid for cid, cat in self.categories.items()}
+        cat_id = by_title.get(params.get("cmtitle", ""))
         members: list[dict] = []
         if cat_id is not None:
             for pid in self.members_of(cat_id):

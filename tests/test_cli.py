@@ -100,6 +100,19 @@ class TestKeywordsCommand:
         assert proc.returncode == 2
         assert b"--wordnet" in proc.stderr
 
+    @pytest.mark.parametrize("name", ["index.noun", "noun.exc"])
+    def test_wordnet_not_utf8_one_line_exit_1(self, cli, tmp_path, name):
+        wordnet = tmp_path / "wn"
+        shutil.copytree(WORDNET, wordnet)
+        path = wordnet / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"caf\xe9 " + lines[1]
+        path.write_bytes(b"".join(lines))
+        proc = cli("keywords", "--input", RAILWAY_RS, "--wordnet", wordnet)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {path}:2: not valid UTF-8 (byte 0xe9)"]
+
     def test_background_docs_change_scores(self, cli, tmp_path):
         bg = tmp_path / "bg.txt"
         bg.write_text("The emergency brake shall function.\n")

@@ -218,6 +218,25 @@ class TestTransport:
         assert cold.get(params) == want
         assert cold.network_requests == 0
 
+    def test_offline_miss_on_per_response_files_says_why(self, tmp_path):
+        # the layout before the response log: one <sha256>.json per response
+        (tmp_path / f"{hashlib.sha256(b'x').hexdigest()}.json").write_text(
+            '{"batchcomplete": true}')
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    offline=True)
+        with pytest.raises(OfflineCacheMiss) as exc:
+            transport.get(EXTRACT_1)
+        assert str(exc.value) == (
+            "offline mode: no cached response for "
+            f"{canonical_url(ENDPOINT, EXTRACT_1)}; {tmp_path} holds "
+            "per-response *.json files, which this version does not read: "
+            "re-mine it online")
+        (tmp_path / LOG_NAME).write_bytes(b"")
+        with pytest.raises(OfflineCacheMiss) as exc:
+            CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                            offline=True).get(EXTRACT_1)
+        assert "per-response" not in str(exc.value)
+
     @pytest.mark.parametrize("offline", [False, True])
     @pytest.mark.parametrize("body", [b'{"query": ', b"[1, 2]", b"\xff{}"])
     def test_corrupt_cache_file_is_error(self, tmp_path, offline, body):
@@ -609,6 +628,17 @@ class TestClient:
         client = client_for(wiki)
         assert client.list_category_members(
             CategoryRef("Category:Empty corner", 902)) == ([], [])
+
+    def test_members_follow_edits_to_the_graph_dicts(self):
+        wiki = small_wiki()
+        client = client_for(wiki)
+        cat = CategoryRef("Category:Rail infrastructure", 901)
+        assert [p.page_id for p in client.list_category_members(cat)[0]] \
+            == [3]
+        wiki.articles[2]["categories"].append(901)
+        assert [p.page_id for p in client.list_category_members(cat)[0]] \
+            == [2, 3]
+        assert wiki.members_of(901) == [2, 3]
 
     def test_fetch_text(self):
         client = client_for(small_wiki())

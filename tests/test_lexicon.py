@@ -1,5 +1,6 @@
 """WordNet flat-file loading, membership queries, and morphy."""
 
+import shutil
 from collections import Counter
 
 import pytest
@@ -54,8 +55,19 @@ class TestLoad:
         assert a.source_version == b.source_version
 
     def test_source_version_pinned(self, mini_wordnet):
-        # a digest of the four index files; it goes into every manifest
-        assert mini_wordnet.source_version == "e328021e3652"
+        # a digest of the index and exception files; it goes into every
+        # manifest
+        assert mini_wordnet.source_version == "07bdc77a9c01"
+
+    def test_exception_lists_change_source_version(self, tmp_path,
+                                                   fixtures_dir,
+                                                   mini_wordnet):
+        shutil.copytree(fixtures_dir / "wordnet_mini", tmp_path / "wn")
+        (tmp_path / "wn" / "noun.exc").write_bytes(b"")
+        lex = load_wordnet(tmp_path / "wn")
+        assert lex.entries == mini_wordnet.entries
+        assert lex.exceptions[NOUN] == {}
+        assert lex.source_version != mini_wordnet.source_version
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_index_line_endings(self, tmp_path, fixtures_dir, mini_wordnet,

@@ -123,15 +123,37 @@ class TestLoadVectors:
             load_vectors(path, {"rail"})
         assert ":2: not valid UTF-8" in str(exc.value)
 
-    def test_first_error_in_file_order_wins(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["undecodable", "token_only"])
+    @pytest.mark.parametrize("other_row,float_row", [
+        (20, 10), (10, 20),      # both in the first chunk
+        (400, 10), (10, 400)])   # on both sides of row 256
+    def test_first_error_in_file_order_wins(self, tmp_path, kind,
+                                            other_row, float_row):
         rows = [f"w{i} {i} 1" for i in range(600)]
-        rows[10] = "w10 1 x"        # in the first chunk
-        rows[400] = "caf\udce9 1 2"  # an undecodable byte, later
+        rows[float_row] = f"w{float_row} 1 x"
+        rows[other_row], problem = {
+            "undecodable": ("caf\udce9 1 2", "not valid UTF-8"),
+            "token_only": (f"w{other_row}",
+                           "expected token and vector components")}[kind]
         path = tmp_path / "v.txt"
         path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape"))
         with pytest.raises(MalformedVectorLine) as exc:
             load_vectors(path, {"w1"})
-        assert ":11:" in str(exc.value)
+        first = min(other_row, float_row)
+        assert f":{first + 1}: " in str(exc.value)
+        assert (problem if first == other_row else "could not convert") \
+            in str(exc.value)
+
+    def test_kept_rows_own_their_memory(self, tmp_path):
+        # a view into a chunk's block would keep the whole block alive
+        rows = [f"w{i} {i} 1" for i in range(600)]
+        rows[300] = "w300 1_0 1"  # numpy rejects it: that chunk goes by row
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(rows) + "\n")
+        table = load_vectors(path, {"w1", "w300", "w599"})
+        assert table.vectors["w300"].tolist() == [10.0, 1.0]
+        assert len(table.vectors) == 3
+        assert all(v.base is None for v in table.vectors.values())
 
 
 def reference_load(path):
