@@ -10,16 +10,27 @@ so importing this module (and the CLI) does not load it.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import signal
+import threading
+import warnings
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Container, Mapping
+from typing import (TYPE_CHECKING, Callable, Container, Iterable, Iterator,
+                    Mapping)
 
 from .corpus import Corpus
 from .errors import WikiHarvestError, utf8_problem
 from .preprocess import content_tokens
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
+
     import numpy as np
 
 
@@ -67,12 +78,17 @@ class RelatednessReport:
 
 # Rows parsed per call of numpy's parser.
 _CHUNK_ROWS = 256
+# Vector files at least this large are checked in forked range workers.
+_FORK_MIN_BYTES = 16 * 2**20
 # ASCII separators that numpy skips around a number and float() rejects.
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _parse_chunk(path: Path, rows: list[tuple[int, str, str, str]],
-                 dimension: int) -> np.ndarray:
+# A vector-file row: (line number, token, " " or "", the components).
+_Row = tuple[int, str, str, str]
+
+
+def _parse_chunk(path: Path, rows: list[_Row], dimension: int) -> np.ndarray:
     """Parse `rows`, ``(lineno, token, space, rest)``, into one block of
     `dimension` columns (of the first row's width when 0).
 
@@ -115,51 +131,299 @@ def _parse_chunk(path: Path, rows: list[tuple[int, str, str, str]],
     return np.array(parsed, dtype=np.float64)
 
 
-def _keep_rows(path: Path, rows: list[tuple[int, str, str, str]],
-               dimension: int, words: Container[str],
-               vectors: dict[str, np.ndarray]) -> int:
-    """Parse one chunk and copy the rows of `words` not yet in `vectors`
-    out of its block; returns the block's width.  A kept row is a copy:
-    a view would keep the whole block alive."""
-    block = _parse_chunk(path, rows, dimension)
-    for (_, token, _, _), row in zip(rows, block):
+def _rows(lines: Iterable[str], lineno: int) -> Iterator[_Row]:
+    """``(lineno, token, space, rest)`` of each non-blank line of `lines`,
+    the first being line `lineno`, with trailing whitespace dropped."""
+    for lineno, line in enumerate(lines, lineno):
+        if line := line.rstrip():
+            yield (lineno, *line.partition(" "))
+
+
+def _header(row: _Row) -> tuple[int, int] | None:
+    """The vocabulary size and dimension in `row`, if it is line 1 and
+    holds just two integers."""
+    lineno, token, space, rest = row
+    if lineno == 1 and space and " " not in rest:
+        try:
+            return int(token), int(rest)
+        except ValueError:
+            pass
+    return None
+
+
+def _scan(path: Path, lines: Iterable[str], lineno: int, dimension: int,
+          keep: Callable[[list[str], np.ndarray], None]
+          ) -> tuple[tuple[int, int] | None, int, int]:
+    """Check every row of `lines`, the first being line `lineno` of
+    `path`, `_CHUNK_ROWS` at a time, and hand each chunk's tokens and
+    block to `keep`.  Returns the header, the number of rows and their
+    dimension (the first row's, when `dimension` is 0)."""
+    rows = _rows(lines, lineno)
+    first = next(rows, None)
+    header = first and _header(first)
+    if first and not header:
+        rows = chain([first], rows)
+    count = 0
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        block = _parse_chunk(path, chunk, dimension)
+        dimension = block.shape[1]
+        keep([token for _, token, _, _ in chunk], block)
+        count += len(chunk)
+    return header, count, dimension
+
+
+def _keep(tokens: list[str], block: np.ndarray, words: Container[str],
+          vectors: dict[str, np.ndarray]) -> None:
+    """Copy the rows of `words` not yet in `vectors` out of `block`.  A
+    kept row is a copy: a view would keep the whole block alive."""
+    for token, row in zip(tokens, block):
         if token in words and token not in vectors:
             vectors[token] = row.copy()
-    return block.shape[1]
 
 
-def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
-    """Load the rows of `words` from a word2vec/GloVe text-format file.
+def _check_header(path: Path, header: tuple[int, int] | None, rows: int,
+                  dimension: int) -> None:
+    """A header must give the number of rows and, if there are any,
+    their dimension."""
+    if header and (header[0] != rows or rows and header[1] != dimension):
+        raise MalformedVectorLine(
+            f"{path}:1: header gives {header[0]} rows of dimension "
+            f"{header[1]}, the file has {rows} of dimension {dimension}")
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of a file."""
+
+    def __init__(self, path: Path, start: int, stop: int):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _range_lines(path: Path, start: int, stop: int) -> io.TextIOWrapper:
+    """The lines of bytes [start, stop) of `path`, read like the file."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)),
+                            encoding="utf-8", errors="surrogateescape")
+
+
+def _scan_range(path: Path, start: int, stop: int, dimension: int,
+                keep: Callable[[list[str], np.ndarray], None]
+                ) -> tuple[tuple[int, int] | None, int, int]:
+    """`_scan` bytes [start, stop) of `path`, which start a line.
+
+    A range after the first is numbered from line 2, the lowest its first
+    line can have, so none of its lines is taken for the header.  Only an
+    error needs the true numbers: the lines before the range are then
+    counted and the range is checked again, which raises the same error
+    at its line in the file.
+    """
+    with _range_lines(path, start, stop) as lines:
+        try:
+            return _scan(path, lines, 2 if start else 1, dimension, keep)
+        except WikiHarvestError:
+            if not start:
+                raise
+            with _range_lines(path, 0, start) as before:
+                first = 1 + sum(1 for _ in before)
+            with _range_lines(path, start, stop) as again:
+                _scan(path, again, first, dimension, lambda *_: None)
+            raise
+
+
+def _check_range(conn: Connection, parent_ends: list[Connection],
+                 path: Path, start: int, stop: int, dimension: int) -> None:
+    """Forked worker: check bytes [start, stop) of `path`.  Rows parsed
+    before the parent sends the words to keep are held until it does.
+    Replies with the range's header, row count and kept rows, or with its
+    first error; stops when the parent is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
+    for end in parent_ends:     # so a dead parent's pipes read as closed
+        end.close()
+    words, held, kept = None, [], {}
+
+    def take(wait: bool) -> None:
+        nonlocal words
+        if words is None and (wait or conn.poll()):
+            words = conn.recv()
+        if words is not None:
+            for tokens, block in held:
+                _keep(tokens, block, words, kept)
+            held.clear()
+
+    def keep(tokens: list[str], block: np.ndarray) -> None:
+        held.append((tokens, block))
+        take(wait=False)
+
+    try:
+        header, rows, _ = _scan_range(path, start, stop, dimension, keep)
+        take(wait=True)
+        reply = (header, rows, kept)
+    except (WikiHarvestError, OSError, EOFError) as exc:
+        reply = exc
+    with suppress(OSError):
+        conn.send(reply)
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ranges(path: Path) -> list[tuple[int, int]]:
+    """Byte ranges of `path`, cut at line starts, one per usable core and
+    each about half `_FORK_MIN_BYTES` or more; none when the file is
+    checked in-process: it is under `_FORK_MIN_BYTES`, one core is
+    usable, another thread runs (forking then can deadlock) or there is
+    no `fork`."""
+    size = path.stat().st_size
+    parts = min(_usable_cores(), size // (_FORK_MIN_BYTES // 2))
+    if parts < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return []
+    cuts = [0]
+    with path.open("rb") as fh:
+        for k in range(1, parts):
+            fh.seek(size * k // parts)
+            while (part := fh.readline(1 << 16)) and part[-1:] != b"\n":
+                pass
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _first_dimension(path: Path) -> int:
+    """The dimension of the first row of `path`; 0 when it has no rows or
+    the first row is bad (the first range then reports that row)."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for row in _rows(fh, 1):
+            if not _header(row):
+                try:
+                    return _parse_chunk(path, [row], 0).shape[1]
+                except WikiHarvestError:
+                    return 0
+    return 0
+
+
+class VectorCheck:
+    """The check of one vector file, started before the words to keep are
+    known.
+
+    Used as a context manager, a file of at least `_FORK_MIN_BYTES` is cut
+    at line starts into one byte range per usable core, and each range is
+    checked by a forked worker while the caller goes on (say, tokenizing
+    the texts); `table` then gathers the rows of its words.  Any other
+    file, or one `VectorCheck` is not entered for, is checked in-process
+    by `table`.  Leaving the context stops and reaps the workers.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._dimension = 0
+        self._workers: list[tuple[BaseProcess, Connection]] = []
+
+    def __enter__(self) -> VectorCheck:
+        try:
+            if ranges := _ranges(self.path):
+                self._start(ranges)
+        except OSError:     # the file, or fork, fails: check in-process
+            self.__exit__()
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def _start(self, ranges: list[tuple[int, int]]) -> None:
+        import multiprocessing
+        context = multiprocessing.get_context("fork")
+        self._dimension = _first_dimension(self.path)
+        for start, stop in ranges:
+            conn, child = context.Pipe()
+            process = context.Process(
+                target=_check_range, daemon=True,
+                args=(child, [c for _, c in self._workers] + [conn],
+                      self.path, start, stop, self._dimension))
+            with warnings.catch_warnings():
+                # No Python thread runs (see `_ranges`); numpy's BLAS
+                # threads, which Python 3.12 warns about, survive a fork.
+                warnings.filterwarnings("ignore", "This process .* is "
+                                        "multi-threaded", DeprecationWarning)
+                process.start()
+            child.close()
+            self._workers.append((process, conn))
+
+    def __exit__(self, *exc_info) -> None:
+        for process, conn in self._workers:
+            process.kill()
+            process.join()
+            process.close()
+            conn.close()
+        self._workers = []
+
+    def table(self, words: Container[str]) -> EmbeddingTable:
+        """The rows of `words`, once every row is checked; raises the first
+        error in file order.  Call it once."""
+        vectors: dict[str, np.ndarray] = {}
+        if not self._workers:
+            with self.path.open("r", encoding="utf-8",
+                                errors="surrogateescape") as fh:
+                header, rows, dimension = _scan(
+                    self.path, fh, 1, 0,
+                    lambda tokens, block: _keep(tokens, block, words,
+                                                vectors))
+            _check_header(self.path, header, rows, dimension)
+            return EmbeddingTable(dimension=dimension, vectors=vectors)
+        for _, conn in self._workers:
+            with suppress(OSError):     # a worker stopped at an error
+                conn.send(words)
+        header, rows = None, 0
+        for process, conn in self._workers:
+            try:
+                reply = conn.recv()
+            except (EOFError, ConnectionError):
+                process.join()
+                raise WikiHarvestError(
+                    f"{self.path}: a vector check worker stopped "
+                    f"(exit code {process.exitcode})") from None
+            if isinstance(reply, BaseException):
+                raise reply
+            range_header, range_rows, kept = reply
+            header = header or range_header    # only line 1 can be one
+            rows += range_rows
+            for token, row in kept.items():
+                vectors.setdefault(token, row)
+        _check_header(self.path, header, rows, self._dimension)
+        return EmbeddingTable(dimension=self._dimension, vectors=vectors)
+
+
+def load_vectors(vectors: str | Path | VectorCheck,
+                 words: Container[str]) -> EmbeddingTable:
+    """Load the rows of `words` from a word2vec/GloVe text-format file, or
+    from the `VectorCheck` of one, started before `words` was known.
 
     Each line is ``token v1 v2 ... vd``; an optional leading header line
-    holds the vocabulary size and dimension.  Trailing whitespace and
-    blank lines are ignored; duplicate tokens keep their first occurrence.
-    Every row is parsed and checked, `_CHUNK_ROWS` at a time; only the
-    rows of `words` are kept.
+    holds the number of rows and their dimension, and must match them.
+    Trailing whitespace and blank lines are ignored; duplicate tokens keep
+    their first occurrence.  Every row is parsed and checked, `_CHUNK_ROWS`
+    at a time, and the first error in file order is raised; only the rows
+    of `words` are kept.
     """
-    path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    dimension = 0
-    rows: list[tuple[int, str, str, str]] = []
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip()
-            if not line:
-                continue
-            token, space, rest = line.partition(" ")
-            if lineno == 1 and space and " " not in rest:
-                try:
-                    int(token), int(rest)
-                    continue  # header line: count and dimension
-                except ValueError:
-                    pass
-            rows.append((lineno, token, space, rest))
-            if len(rows) == _CHUNK_ROWS:
-                dimension = _keep_rows(path, rows, dimension, words, vectors)
-                rows = []
-    if rows:
-        dimension = _keep_rows(path, rows, dimension, words, vectors)
-    return EmbeddingTable(dimension=dimension, vectors=vectors)
+    if isinstance(vectors, VectorCheck):
+        return vectors.table(words)
+    with VectorCheck(vectors) as check:
+        return check.table(words)
 
 
 @dataclass(frozen=True)

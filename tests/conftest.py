@@ -12,11 +12,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from wikiharvest import relatedness
 from wikiharvest.cli import run_mine
 from wikiharvest.crawler import CachedTransport
 from wikiharvest.lexicon import load_wordnet, make_lemmatizer
@@ -38,6 +40,31 @@ def vector_file_words(path: Path) -> set[str]:
     """The first field of every line of a vector file: load them all."""
     return {line.split(" ")[0]
             for line in path.read_text("utf-8").splitlines()}
+
+
+@contextmanager
+def split_into(n):
+    """Check vector files of any size in `n` forked range workers; yields
+    the list of pids forked."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relatedness, "_FORK_MIN_BYTES", 2)   # ranges of 1 byte up
+        mp.setattr(relatedness, "_usable_cores", lambda: n)
+        mp.setattr(os, "fork", fork)
+        yield pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,32 @@
 """CLI surface: flags, exit codes, and stdout contracts."""
 
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
+from click.testing import CliRunner
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_reaped, split_into
+from wikiharvest.cli import main
 from wikiharvest.corpus import write_corpus
 
 WORDNET = FIXTURES / "wordnet_mini"
 VECTORS = FIXTURES / "vectors_toy.txt"
 RAILWAY_RS = FIXTURES / "railway_rs.txt"
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def keyword_rows(stdout: bytes) -> list[list[str]]:
@@ -326,6 +340,127 @@ class TestDamagedCorpus:
         assert proc.returncode == 1
         [line] = proc.stderr.decode().splitlines()
         assert line.startswith(f"error: {manifest}: not a valid manifest")
+
+
+class TestEvalWorkers:
+    """`eval` with its vector file checked in forked range workers: the
+    same report, one error line, and no worker left behind."""
+
+    TRANSPORT = ("--corpus", FIXTURES / "transport_corpus",
+                 "--input", FIXTURES / "transport_test_rs.txt")
+
+    @staticmethod
+    def eval(*args):
+        return CliRunner().invoke(main, ["eval", *map(str, args)])
+
+    def test_same_report_as_in_process(self):
+        alone = self.eval(*self.TRANSPORT, "--vectors", VECTORS)
+        with split_into(2) as pids:
+            split = self.eval(*self.TRANSPORT, "--vectors", VECTORS)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        assert (split.exit_code, split.stdout) == (0, alone.stdout)
+
+    def test_vector_error(self, tmp_path):
+        vectors = tmp_path / "v.txt"
+        lines = VECTORS.read_text("utf-8").splitlines()
+        lines[90] += " 0.5"
+        vectors.write_text("\n".join(lines) + "\n")
+        with split_into(2) as pids:
+            result = self.eval(*self.TRANSPORT, "--vectors", vectors)
+        assert_reaped(pids)
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            f"error: {vectors}:91: dimension 9 != 8"]
+
+    def test_corpus_error_while_workers_run(self, tmp_path):
+        corpus = tmp_path / "c"
+        write_corpus([(1, "A", "caf\u00e9 road"), (2, "B", "traffic")], corpus)
+        (corpus / "articles" / "1.txt").write_bytes(b"caf\xe9! road")
+        with split_into(2) as pids:
+            result = self.eval("--corpus", corpus,
+                               *self.TRANSPORT[2:], "--vectors", VECTORS)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        assert result.exit_code == 1
+        assert "not valid UTF-8" in result.stderr
+
+    def test_interrupt_while_workers_run(self, monkeypatch):
+        def interrupted(*_args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("wikiharvest.cli.eval_texts", interrupted)
+        with split_into(2) as pids:
+            result = self.eval(*self.TRANSPORT, "--vectors", VECTORS)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        assert result.exit_code == 1    # click's "Aborted!"
+
+    def test_workers_stop_when_eval_is_killed(self, tmp_path):
+        # eval is SIGKILLed while it tokenizes: nothing reaps its workers,
+        # so they must see the closed pipe and exit by themselves
+        pids = tmp_path / "pids"
+        code = """if True:
+            import os, signal
+            import wikiharvest.cli as cli, wikiharvest.relatedness as r
+            r._FORK_MIN_BYTES = 2
+            r._usable_cores = lambda: 2
+            fork, pids = os.fork, []
+            def spy():
+                pid = fork()
+                pids.append(pid)
+                return pid
+            os.fork = spy
+            def eval_texts(*args):
+                with open(os.environ["PIDS_FILE"], "w") as fh:
+                    fh.write(" ".join(map(str, pids)))
+                os.kill(os.getpid(), signal.SIGKILL)
+            cli.eval_texts = eval_texts
+            cli.main()
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "eval", *map(str, self.TRANSPORT),
+             "--vectors", VECTORS], stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=60,
+            env={**os.environ, "PIDS_FILE": str(pids)})
+        assert proc.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 2
+        try:
+            deadline = time.monotonic() + 30
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_killed_worker_is_one_error_line(self):
+        # the worker is killed while the corpus is tokenized
+        code = """if True:
+            import os, signal
+            import wikiharvest.cli as cli, wikiharvest.relatedness as r
+            r._FORK_MIN_BYTES = 2
+            r._usable_cores = lambda: 2
+            fork, pids = os.fork, []
+            def spy():
+                pid = fork()
+                pids.append(pid)
+                return pid
+            os.fork = spy
+            tokenize = cli.eval_texts
+            def eval_texts(*args):
+                os.kill(pids[0], signal.SIGKILL)
+                return tokenize(*args)
+            cli.eval_texts = eval_texts
+            cli.main()
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "eval", *map(str, self.TRANSPORT),
+             "--vectors", VECTORS], capture_output=True, timeout=60)
+        assert proc.returncode == 1
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith(f"error: {VECTORS}: a vector check worker "
+                               f"stopped")
 
 
 class TestReportCommand:

@@ -1,17 +1,22 @@
 """Vector loading, document embedding, cosine, and corpus evaluation."""
 
 import math
+import os
 import random
 import re
+import signal
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import vector_file_words
+from conftest import assert_reaped, split_into, vector_file_words
 
+from wikiharvest import relatedness
 from wikiharvest.corpus import load_corpus, write_corpus
+from wikiharvest.errors import WikiHarvestError
 from wikiharvest.relatedness import (DimensionMismatch, EmbeddingTable,
                                      EmptyCorpus, InconsistentDimension,
                                      MalformedVectorLine, cosine,
@@ -49,6 +54,28 @@ class TestLoadVectors:
         table = load_all(path)
         assert table.dimension == 3
         assert len(table.vectors) == 2
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n",                           # a header and nothing else
+        "3 2\nalpha 1 2\nbeta 3 4\n",      # a truncated file
+        "2 3\nalpha 1 2\nbeta 3 4\n",      # the wrong dimension
+    ])
+    def test_header_must_match_rows(self, tmp_path, text):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedVectorLine, match=r":1: header gives"):
+            load_all(path)
+
+    def test_row_error_before_header_mismatch(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("5 2\nalpha 1 2\nbeta 3 x\n")
+        with pytest.raises(MalformedVectorLine, match=":3: "):
+            load_all(path)
+
+    def test_header_of_no_rows(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("0 300\n")
+        assert load_all(path) == EmbeddingTable(dimension=0, vectors={})
 
     def test_ragged_line_reports_line_number(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -158,8 +185,9 @@ class TestLoadVectors:
 
 def reference_load(path):
     """The row-by-row loader: `float()` on every component of every row,
-    keeping every row.  Returns (dimension, vectors)."""
-    vectors, dimension = {}, 0
+    keeping every row, then the header against the rows read.  Returns
+    (dimension, vectors)."""
+    vectors, dimension, rows, header = {}, 0, 0, None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip()
@@ -168,7 +196,7 @@ def reference_load(path):
             fields = line.split(" ")
             if lineno == 1 and len(fields) == 2:
                 try:
-                    int(fields[0]), int(fields[1])
+                    header = int(fields[0]), int(fields[1])
                     continue
                 except ValueError:
                     pass
@@ -184,6 +212,10 @@ def reference_load(path):
             elif vec.shape[0] != dimension:
                 raise InconsistentDimension(f"{path}:{lineno}: dimension")
             vectors.setdefault(token, vec)
+            rows += 1
+    if header is not None and header != (rows, dimension if rows else
+                                         header[1]):
+        raise MalformedVectorLine(f"{path}:1: header")
     return dimension, vectors
 
 
@@ -314,6 +346,176 @@ class TestLoaderMatchesReference:
         path = tmp_path / "v.txt"
         path.write_text("\n".join(rows) + "\n")
         assert_loads_like_reference(path, {"w0", "w300"})
+
+
+def fixed_width_rows(n=600):
+    """Rows of equal length, so same-length edits keep the range cuts."""
+    return [f"w{i:03d} {i % 10}.5 1.5" for i in range(n)]
+
+
+def first_line_of_range(path, k):
+    """The line number of the first line of range `k` (from 0)."""
+    start = relatedness._ranges(path)[k][0]
+    data = path.read_bytes()[:start]
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
+
+
+class TestRangeWorkers:
+    """Files split into byte ranges load as the row-by-row loader does,
+    and every worker is reaped."""
+
+    @given(vector_files(), st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_files(self, tmp_path_factory, case, n):
+        text, words = case
+        path = tmp_path_factory.mktemp("vectors") / "v.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with split_into(n) as pids:
+            assert_loads_like_reference(path, words)
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("edits", [
+        [], [(256, "odd", "two")], [(300, "odd", "1_0"), (20, "odd", "\uff11")],
+        [(255, "blank", None), (256, "trailing", None)],
+        [(10, "odd", "two"), (400, "short", None)], [(511, "long", None)]])
+    def test_chunk_boundaries(self, tmp_path, edits, n):
+        rng = random.Random(len(edits))
+        rows = [[f"w{i % 260}", repr(i / 7), repr(-i / 3), "1e-3"]
+                for i in range(600)]
+        for i, kind, odd in edits:
+            apply_edit(rows, i, kind, odd, rng)
+        path = tmp_path / "v.txt"
+        path.write_text("600 3\n" + "\n".join(" ".join(r) for r in rows)
+                        + "\n")
+        with split_into(n) as pids:
+            assert_loads_like_reference(path, {f"w{i}" for i in range(260)})
+        assert len(pids) == n
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_error_in_second_range_only(self, tmp_path, newline):
+        path = tmp_path / "v.txt"
+        rows = fixed_width_rows()
+        path.write_text(newline.join(rows) + newline, newline="")
+        with split_into(2):
+            line = first_line_of_range(path, 1) + 5
+            rows[line - 1] = rows[line - 1].replace(".5", ".x")
+            path.write_text(newline.join(rows) + newline, newline="")
+            with pytest.raises(MalformedVectorLine, match=f":{line}: "):
+                load_vectors(path, {"w001"})
+            assert_loads_like_reference(path, {"w001"})
+
+    def test_first_range_error_wins(self, tmp_path):
+        path = tmp_path / "v.txt"
+        rows = fixed_width_rows()
+        path.write_text("\n".join(rows) + "\n")
+        with split_into(2):
+            second = first_line_of_range(path, 1)
+            rows[second] = rows[second].replace("1.5", "1.x")
+            rows[second - 3] = rows[second - 3] + " 2.5"
+            path.write_text("\n".join(rows) + "\n")
+            with pytest.raises(InconsistentDimension, match=f":{second - 2}: "):
+                load_vectors(path, {"w001"})
+
+    def test_second_range_of_another_width(self, tmp_path):
+        path = tmp_path / "v.txt"
+        rows = fixed_width_rows()
+        path.write_text("\n".join(rows) + "\n")
+        with split_into(2):
+            second = first_line_of_range(path, 1)
+            # "w300 0.5 1.5" -> "w3 0.5 1.5 1": the same length
+            rows[second - 1:] = [f"{row[:2]} {row[5:]} 1"
+                                 for row in rows[second - 1:]]
+            path.write_text("\n".join(rows) + "\n")
+            with pytest.raises(InconsistentDimension,
+                               match=f":{second}: dimension 3 != 2"):
+                load_vectors(path, {"w001"})
+
+    def test_integer_pair_opening_a_range_is_a_row(self, tmp_path):
+        # only line 1 of the file can be the header
+        path = tmp_path / "v.txt"
+        rows = [f"w{i:03d} {i % 10}" for i in range(600)]
+        path.write_text("\n".join(rows) + "\n")
+        with split_into(2):
+            second = first_line_of_range(path, 1)
+            rows[second - 1] = "1234 5"
+            path.write_text("\n".join(rows) + "\n")
+            table = load_vectors(path, {"1234"})
+            assert_loads_like_reference(path, {"1234", "w001"})
+        assert table.vectors["1234"].tolist() == [5.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_duplicate_across_the_cut_keeps_the_first(self, tmp_path,
+                                                      newline):
+        path = tmp_path / "v.txt"
+        rows = fixed_width_rows()
+        path.write_text(newline.join(rows) + newline, newline="")
+        with split_into(2):
+            line = first_line_of_range(path, 1)
+            rows[line - 1] = "w001" + rows[line - 1][4:]
+            path.write_text(newline.join(rows) + newline, newline="")
+            table = load_vectors(path, {"w001"})
+            assert_loads_like_reference(path, {"w001"})
+        assert table.vectors["w001"].tolist() == [1.5, 1.5]
+
+    def test_header_counts_rows_of_every_range(self, tmp_path):
+        path = tmp_path / "v.txt"
+        rows = fixed_width_rows()
+        path.write_text("599 2\n" + "\n".join(rows) + "\n")
+        with split_into(3) as pids:
+            with pytest.raises(MalformedVectorLine, match=":1: header gives "
+                               "599 rows of dimension 2, the file has 600"):
+                load_vectors(path, {"w001"})
+        assert len(pids) == 3
+        assert_reaped(pids)
+
+    def test_lone_cr_file_is_one_range(self, tmp_path):
+        # no "\n" to cut after: the whole file goes to one worker
+        path = tmp_path / "v.txt"
+        path.write_text("\r".join(fixed_width_rows()) + "\r", newline="")
+        with split_into(2) as pids:
+            assert_loads_like_reference(path, {"w001", "w599"})
+        assert len(pids) == 1
+
+    @pytest.mark.parametrize("rows,parts", [(40, 0), (100, 2), (300, 7),
+                                            (1000, 8)])
+    def test_ranges_hold_half_the_threshold(self, tmp_path, monkeypatch,
+                                            rows, parts):
+        # 13-byte rows; no range under 500 bytes, no more than 8 cores
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(fixed_width_rows(rows)) + "\n")
+        monkeypatch.setattr(relatedness, "_FORK_MIN_BYTES", 1000)
+        monkeypatch.setattr(relatedness, "_usable_cores", lambda: 8)
+        assert len(relatedness._ranges(path)) == parts
+
+    def test_worker_killed_is_an_error(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(fixed_width_rows()) + "\n")
+        with split_into(2) as pids:
+            with relatedness.VectorCheck(path) as check:
+                os.kill(pids[1], signal.SIGKILL)
+                with pytest.raises(WikiHarvestError,
+                                   match="worker stopped.*-9"):
+                    load_vectors(check, {"w001"})
+        assert_reaped(pids)
+
+    def test_threaded_caller_loads_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(fixed_width_rows()) + "\n")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with split_into(2):
+                def no_fork():
+                    raise AssertionError("forked with a thread running")
+                monkeypatch.setattr(os, "fork", no_fork)
+                table = load_vectors(path, {"w001"})
+        finally:
+            stop.set()
+            thread.join()
+        assert table.vectors["w001"].tolist() == [1.5, 1.5]
 
 
 class TestEmbedDocument:
