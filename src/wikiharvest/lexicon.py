@@ -10,14 +10,13 @@ accepting the first candidate present in the index.
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
 from .errors import WikiHarvestError, utf8_problem
-from .preprocess import ADJ, ADV, NOUN, VERB
+from .preprocess import ADJ, ADV, MEMO_ENTRIES, NOUN, VERB
 
 
 class MissingFile(WikiHarvestError):
@@ -63,22 +62,48 @@ def _word(field: str) -> str:
     return field.replace("_", " ").lower()
 
 
-def _entry_lines(path: Path, data: bytes, expected: str
+# Bytes decoded and split at a time.  Splitting a whole index file at
+# once holds its text and all its lines together, about three times the
+# file's size, and raises the peak memory of a run.
+_CHUNK_BYTES = 1 << 16
+
+
+def _entry_lines(path: Path, data: bytes, expected: str, maxsplit: int = -1
                  ) -> Iterator[list[str]]:
-    """The fields of each entry line of a database file's bytes, decoded
-    and split into lines as text-mode `open` does: lazily, so no decoded
-    copy of the file is held."""
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                             errors="surrogateescape")
-    for lineno, line in enumerate(lines, 1):
+    """The fields of each entry line of a database file's bytes, the last
+    holding the rest of the line after `maxsplit` splits, decoded and split
+    into lines as text-mode `open` does: at "\\n", "\\r" and "\\r\\n"
+    only (`str.splitlines` also splits at "\\x0c", "\\x85", "\\u2028" and
+    more).  Each run of whole lines of about `_CHUNK_BYTES` is decoded and
+    split at once."""
+    start, lineno = 0, 1
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
+        text = data[start:end].decode("utf-8", errors="surrogateescape")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if not text.isascii():
+            _check_lines(path, lines, lineno, expected)
+        for line in lines:
+            if not line.startswith(" ") and (
+                    fields := line.split(None, maxsplit)):
+                if len(fields) < 2:
+                    _check_lines(path, lines, lineno, expected)
+                yield fields
+        start, lineno = end, lineno + len(lines) - 1
+
+
+def _check_lines(path: Path, lines: list[str], lineno: int,
+                 expected: str) -> None:
+    """Raise `MalformedLine` naming the first of `lines`, numbered from
+    `lineno`, that is not valid UTF-8 or that holds a single field;
+    license header lines start with a space and need only be UTF-8."""
+    for lineno, line in enumerate(lines, lineno):
         if problem := utf8_problem(line):
             raise MalformedLine(f"{path}:{lineno}: {problem}")
-        if line.startswith(" ") or not line.strip():
-            continue  # license header / padding
-        fields = line.split()
-        if len(fields) < 2:
+        if not line.startswith(" ") and len(line.split()) == 1:
             raise MalformedLine(f"{path}:{lineno}: expected {expected}")
-        yield fields
 
 
 def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
@@ -99,7 +124,8 @@ def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
         digest.update(data)
         entries[pos] = frozenset(
             _word(fields[0])
-            for fields in _entry_lines(index_path, data, "lemma and pos"))
+            for fields in _entry_lines(index_path, data, "lemma and pos",
+                                       maxsplit=1))
         exceptions[pos] = table = {}
         exc_path = root / exc_name
         if not exc_path.is_file():
@@ -169,8 +195,9 @@ def morphy(lexicon: WordnetLexicon, surface: str, pos: str) -> Optional[str]:
 
 def make_lemmatizer(lexicon: WordnetLexicon):
     """Adapter giving the preprocess pipeline a (surface, pos) lemmatizer,
-    with `morphy`'s answer cached per ``(surface, pos)``."""
-    @lru_cache(maxsize=None)
+    with `morphy`'s answer cached per ``(surface, pos)``, for the
+    `MEMO_ENTRIES` most recent pairs."""
+    @lru_cache(maxsize=MEMO_ENTRIES)
     def lemmatizer(surface: str, pos: str) -> Optional[str]:
         return morphy(lexicon, surface, pos)
     return lemmatizer

@@ -10,15 +10,16 @@ does the tagging, and noun phrases are maximal matches of the grammar
 
 The bundled word lists (stopwords, abbreviations, tag lexicon) are the
 only configuration; a :class:`Pipeline` adds an optional lemmatizer.
-All functions are pure; a :class:`Pipeline` is immutable and safe to
-share between threads.
+All functions are pure.  A :class:`Pipeline`'s settings are immutable;
+its only state is a bounded memo of answers the tagger would give again,
+so it stays safe to share between threads.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -206,10 +207,15 @@ def _is_sentence_break(text: str, prev: tuple[str, int, int],
 
 def _sentence_bounds(text: str, spans: Sequence[tuple[str, int, int]]
                      ) -> Iterator[tuple[int, int]]:
-    """Index ranges ``[i, j)`` of `spans` that form one sentence each."""
+    """Index ranges ``[i, j)`` of `spans` that form one sentence each.
+
+    A break needs a terminator ending the previous surface or a newline
+    in the gap (a surface holds none), so only then is it checked."""
     first = 0
     for k in range(1, len(spans)):
-        if _is_sentence_break(text, spans[k - 1], spans[k]):
+        prev, nxt = spans[k - 1], spans[k]
+        if ((prev[0][-1] in ".!?" or "\n" in text[prev[2]:nxt[1]])
+                and _is_sentence_break(text, prev, nxt)):
             yield first, k
             first = k
     if spans:
@@ -306,39 +312,56 @@ def _suffix_tag(lower: str, prev_tag: str) -> str:
 
 def pos_tag(sentence_tokens: Sequence[Token]) -> list[Token]:
     """Assign one coarse tag to every token; tagging is total."""
-    tagged = _tag_sentence([t.surface for t in sentence_tokens], None)
+    tagged = _tag_sentence([t.surface for t in sentence_tokens], None, {})
     return [replace(tok, pos=pos)
             for tok, (pos, _lemma, _stop) in zip(sentence_tokens, tagged)]
 
 
-def _tag_sentence(words: Sequence[str],
-                  lemmatizer: Lemmatizer | None) -> list[tuple[str, str, bool]]:
-    """``(pos, lemma, is_stopword)`` of every word of one sentence."""
-    tag_lexicon = default_tag_lexicon()
-    stopwords = default_stopwords()
+# The most entries a pipeline's tagging memo holds before it is cleared,
+# and the size of a WordNet lemmatizer's cache: full of distinct words,
+# the two take about 15 MiB.
+MEMO_ENTRIES = 1 << 15
+
+TagMemo = dict[tuple[str, str], tuple[str, str, bool]]
+
+
+def _tag_sentence(words: Sequence[str], lemmatizer: Lemmatizer | None,
+                  memo: TagMemo) -> list[tuple[str, str, bool]]:
+    """``(pos, lemma, is_stopword)`` of every word of one sentence.
+
+    A word's answer depends only on its surface and the previous tag,
+    which is "" only for the word that opens the sentence, so `memo`
+    keeps it under that pair."""
     tagged: list[tuple[str, str, bool]] = []
     prev_tag = ""
-    for i, surface in enumerate(words):
-        lower = surface.lower()
-        if _NUMERIC_RE.match(surface):
-            tag = NUM
-        elif _NO_ALNUM_RE.match(surface):
-            tag = PUNCT
-        else:
-            tag = _CLOSED_CLASS.get(lower)
-            if tag is None:
-                tag = tag_lexicon.get(lower)
-            if tag is None:
-                tag = _stem_lookup(lower)
-            if tag is None:
-                if i > 0 and surface[:1].isupper():
-                    tag = PROPN
-                else:
-                    tag = _suffix_tag(lower, prev_tag)
-        tagged.append((tag, lemmatize(lower, tag, lemmatizer),
-                       lower in stopwords))
-        prev_tag = tag
+    for surface in words:
+        key = (surface, prev_tag)
+        word = memo.get(key)
+        if word is None:
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
+            word = memo[key] = _tag_word(surface, prev_tag, lemmatizer)
+        tagged.append(word)
+        prev_tag = word[0]
     return tagged
+
+
+def _tag_word(surface: str, prev_tag: str,
+              lemmatizer: Lemmatizer | None) -> tuple[str, str, bool]:
+    lower = surface.lower()
+    if _NUMERIC_RE.match(surface):
+        tag = NUM
+    elif _NO_ALNUM_RE.match(surface):
+        tag = PUNCT
+    else:
+        tag = (_CLOSED_CLASS.get(lower) or default_tag_lexicon().get(lower)
+               or _stem_lookup(lower))
+        if tag is None:
+            if prev_tag and surface[:1].isupper():
+                tag = PROPN
+            else:
+                tag = _suffix_tag(lower, prev_tag)
+    return tag, lemmatize(lower, tag, lemmatizer), lower in default_stopwords()
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +459,18 @@ class Pipeline:
     Tokenizes, splits sentences, tags each sentence in one pass (POS tag,
     lemma, stopword flag) and chunks noun phrases.  Without a lemmatizer
     a lemma is the lowercased surface.
+
+    Each pipeline keeps a memo of tagged words outside its equality and
+    hash, and clears it when it holds `MEMO_ENTRIES`.  An entry is what
+    tagging the word again would give, so output never depends on what
+    the memo holds.  Threads that share a pipeline need no lock: a race
+    at worst tags a word twice, or adds one entry per thread past the
+    bound before the next clear.
     """
 
     lemmatizer: Lemmatizer | None = None
+    _memo: TagMemo = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def _tagged_sentences(self, text: str) -> Iterator[tuple[
             list[tuple[str, int, int]], list[tuple[str, str, bool]]]]:
@@ -447,7 +479,7 @@ class Pipeline:
         for i, j in _sentence_bounds(text, spans):
             sentence = spans[i:j]
             yield sentence, _tag_sentence([s for s, _, _ in sentence],
-                                          self.lemmatizer)
+                                          self.lemmatizer, self._memo)
 
     def preprocess(self, text: str | bytes, source_id: str = "") -> PreprocessedDoc:
         """Run the full pipeline over one document; `source_id` names it in

@@ -82,6 +82,59 @@ class TestLoad:
         assert lex.entries == mini_wordnet.entries
         assert lex.source_version != mini_wordnet.source_version
 
+    @staticmethod
+    def with_noun_index(tmp_path, fixtures_dir, data: bytes):
+        src = fixtures_dir / "wordnet_mini"
+        for name in ("index.verb", "index.adj", "index.adv"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        (tmp_path / "index.noun").write_bytes(data)
+        return tmp_path / "index.noun"
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
+    def test_only_newlines_split_lines(self, tmp_path, fixtures_dir,
+                                       separator):
+        # str.splitlines would make "beta n 1 0" a line of its own
+        line = f"alpha n 1 0{separator}beta n 1 0\n"
+        self.with_noun_index(tmp_path, fixtures_dir, line.encode("utf-8"))
+        assert load_wordnet(tmp_path).entries[NOUN] == {"alpha"}
+        path = self.with_noun_index(tmp_path, fixtures_dir,
+                                    (line + "lonely\n").encode("utf-8"))
+        with pytest.raises(MalformedLine) as exc:
+            load_wordnet(tmp_path)
+        assert str(exc.value) == f"{path}:2: expected lemma and pos"
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"lonely", "expected lemma and pos"),
+        (b"caf\xe9 n 1 0", "not valid UTF-8 (byte 0xe9)")])
+    def test_crlf_errors_keep_line_numbers(self, tmp_path, fixtures_dir,
+                                           monkeypatch, chunk, bad_line,
+                                           message):
+        monkeypatch.setattr(lexicon, "_CHUNK_BYTES", chunk)
+        lines = [b"  header line", b"alpha n 1 0", b"", b"beta n 1 0",
+                 bad_line, b"gamma n 1 0", b"delta"]
+        path = self.with_noun_index(tmp_path, fixtures_dir,
+                                    b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_wordnet(tmp_path)
+        assert str(exc.value) == f"{path}:5: {message}"
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\r\r\n"])
+    def test_chunked_parse_matches_whole(self, tmp_path, fixtures_dir,
+                                         mini_wordnet, monkeypatch, chunk,
+                                         newline):
+        src = fixtures_dir / "wordnet_mini"
+        for path in src.iterdir():
+            text = path.read_text("utf-8").replace("\n", newline)
+            (tmp_path / path.name).write_bytes(text.encode("utf-8"))
+        whole = load_wordnet(tmp_path)
+        monkeypatch.setattr(lexicon, "_CHUNK_BYTES", chunk)
+        lex = load_wordnet(tmp_path)
+        assert lex == whole
+        assert lex.entries == mini_wordnet.entries
+        assert lex.exceptions == mini_wordnet.exceptions
+
     def test_underscores_decoded(self, tmp_path, fixtures_dir):
         src = fixtures_dir / "wordnet_mini"
         for name in ("index.verb", "index.adj", "index.adv"):

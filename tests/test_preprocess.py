@@ -2,6 +2,8 @@
 
 import json
 import string
+import sys
+import threading
 import unicodedata
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikiharvest.preprocess import (ADJ, ADV, DET, NOUN, PUNCT, VERB,
+from wikiharvest import preprocess
+from wikiharvest.lexicon import make_lemmatizer
+from wikiharvest.preprocess import (ADJ, ADV, DET, NOUN, PROPN, PUNCT, VERB,
                                     COARSE_TAGS, InvalidEncoding, Pipeline,
                                     Token, chunk_noun_phrases, content_tokens,
                                     default_pipeline, default_stopwords,
@@ -344,3 +348,99 @@ class TestSinglePass:
     def test_without_lemmatizer(self):
         for text in fixture_texts()[:20]:
             check_single_pass(text, Pipeline())
+
+
+class TestTagMemo:
+    """A `Pipeline` remembers tagged words; what it gives must not depend
+    on what it remembers."""
+
+    @staticmethod
+    def tag_of(pipeline, text, word):
+        return next(t.pos for s in pipeline.preprocess(text).sentences
+                    for t in s.tokens if t.surface == word)
+
+    @pytest.mark.parametrize("word, after_det, after_verb, opening", [
+        ("frobbing", ADJ, VERB, NOUN), ("frobbed", ADJ, VERB, VERB)])
+    def test_unknown_word_tagged_by_context(self, word, after_det,
+                                            after_verb, opening):
+        cases = [(f"The {word} stops.", after_det),
+                 (f"It is {word}.", after_verb),
+                 (f"{word} stops.", opening)]
+        warm = Pipeline()
+        for text, tag in cases + cases[::-1]:
+            assert self.tag_of(warm, text, word) == tag
+            assert self.tag_of(Pipeline(), text, word) == tag
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_capitalised_unknown_word_at_start_and_inside(self, order):
+        word = "Zorblaxed"
+        cases = [(f"{word} the rover.", VERB), (f"The {word} rover.", PROPN)]
+        warm = Pipeline()
+        for text, tag in cases[::order]:
+            assert self.tag_of(warm, text, word) == tag
+            assert warm.preprocess(text) == Pipeline().preprocess(text)
+
+    def test_warm_memo_in_reverse_order(self, mini_wordnet):
+        lemmatizer = make_lemmatizer(mini_wordnet)
+        texts = fixture_texts()
+        fresh = [list(Pipeline(lemmatizer=lemmatizer).tagged_lemmas(text))
+                 for text in texts]
+        warm = Pipeline(lemmatizer=lemmatizer)
+        for text in texts:
+            list(warm.tagged_lemmas(text))
+        assert [list(warm.tagged_lemmas(text))
+                for text in reversed(texts)] == fresh[::-1]
+        for text in texts[:40]:
+            assert warm.preprocess(text) == \
+                Pipeline(lemmatizer=lemmatizer).preprocess(text)
+
+    def test_full_memo_is_cleared(self, wn_pipeline, monkeypatch):
+        texts = fixture_texts()[:60]
+        expected = [list(wn_pipeline.tagged_lemmas(text)) for text in texts]
+        monkeypatch.setattr(preprocess, "MEMO_ENTRIES", 5)
+        small = Pipeline(lemmatizer=wn_pipeline.lemmatizer)
+        for text, want in zip(texts, expected):
+            for sentence in split_sentences(text):
+                list(small.tagged_lemmas(sentence.text))
+                assert 0 < len(small._memo) <= 5
+            assert list(small.tagged_lemmas(text)) == want
+
+    def test_threads_share_one_pipeline(self, mini_wordnet, monkeypatch):
+        lemmatizer = make_lemmatizer(mini_wordnet)
+        texts = fixture_texts()[:40]
+        expected = [list(Pipeline(lemmatizer=lemmatizer).tagged_lemmas(text))
+                    for text in texts]
+        monkeypatch.setattr(preprocess, "MEMO_ENTRIES", 50)
+        shared = Pipeline(lemmatizer=lemmatizer)
+        results = {}
+
+        def work(n):
+            order = texts[n:] + texts[:n]
+            results[n] = [list(shared.tagged_lemmas(text)) for text in order]
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for n in range(8):
+            assert results[n] == expected[n:] + expected[:n]
+        assert len(shared._memo) <= 50 + 8
+
+    def test_equality_and_hash_ignore_the_memo(self, mini_wordnet):
+        warm = Pipeline()
+        list(warm.tagged_lemmas("The rover stops. It is frobbing."))
+        assert warm._memo
+        assert warm == Pipeline() and hash(warm) == hash(Pipeline())
+        assert hash(warm) == hash((None,))
+        assert repr(warm) == "Pipeline(lemmatizer=None)"
+        lemmatizer = make_lemmatizer(mini_wordnet)
+        assert Pipeline(lemmatizer=lemmatizer) == \
+            Pipeline(lemmatizer=lemmatizer)
+        assert Pipeline(lemmatizer=lemmatizer) != warm
