@@ -229,15 +229,18 @@ def frequency_report(corpus: Corpus, top_n: int | None = None,
     """Lemma frequencies over all article text.
 
     Stopwords, punctuation, numbers and single-character terms are
-    dropped; the rest are counted by lemma.
+    dropped; the rest are counted by lemma.  Tokens are counted by their
+    ``(pos, lemma, is_stopword)``, so each distinct one is filtered once.
     """
     pipeline = pipeline or default_pipeline()
-    counts: Counter[str] = Counter()
+    tagged: Counter[tuple[str, str, bool]] = Counter()
     for _pid, _title, text in corpus:
-        counts.update(
-            lemma for pos, lemma, is_stopword in pipeline.tagged_lemmas(text)
-            if not is_stopword and pos not in (PUNCT, NUM)
-            and len(lemma) > 1 and not lemma.isdigit())
+        tagged.update(pipeline.tagged_lemmas(text))
+    counts: Counter[str] = Counter()
+    for (pos, lemma, is_stopword), n in tagged.items():
+        if (not is_stopword and pos not in (PUNCT, NUM)
+                and len(lemma) > 1 and not lemma.isdigit()):
+            counts[lemma] += n
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     if top_n is not None:
         ordered = ordered[:top_n]

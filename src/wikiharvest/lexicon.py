@@ -10,10 +10,11 @@ accepting the first candidate present in the index.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import WikiHarvestError, utf8_problem
 from .preprocess import ADJ, ADV, MEMO_ENTRIES, NOUN, VERB
@@ -68,42 +69,80 @@ def _word(field: str) -> str:
 _CHUNK_BYTES = 1 << 16
 
 
-def _entry_lines(path: Path, data: bytes, expected: str, maxsplit: int = -1
-                 ) -> Iterator[list[str]]:
-    """The fields of each entry line of a database file's bytes, the last
-    holding the rest of the line after `maxsplit` splits, decoded and split
-    into lines as text-mode `open` does: at "\\n", "\\r" and "\\r\\n"
-    only (`str.splitlines` also splits at "\\x0c", "\\x85", "\\u2028" and
-    more).  Each run of whole lines of about `_CHUNK_BYTES` is decoded and
-    split at once."""
-    start, lineno = 0, 1
+def _runs(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """Runs of whole lines of about `_CHUNK_BYTES` of a database file's
+    bytes, each with its offset."""
+    start = 0
     while start < len(data):
         end = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
-        text = data[start:end].decode("utf-8", errors="surrogateescape")
+        yield start, data[start:end]
+        start = end
+
+
+def _entry_lines(path: Path, data: bytes, runs: Iterable[tuple[int, bytes]],
+                 expected: str, maxsplit: int = -1) -> Iterator[list[str]]:
+    """The fields of each entry line of `runs` of `data`, the last holding
+    the rest of the line after `maxsplit` splits, decoded and split into
+    lines as text-mode `open` does: at "\n", "\r" and "\r\n" only
+    (`str.splitlines` also splits at "\x0c", "\x85", "\u2028" and
+    more).  Each run is decoded and split at once."""
+    for start, run in runs:
+        text = run.decode("utf-8", errors="surrogateescape")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = text.split("\n")
         if not text.isascii():
-            _check_lines(path, lines, lineno, expected)
+            _check_lines(path, data, start, lines, expected)
         for line in lines:
             if not line.startswith(" ") and (
                     fields := line.split(None, maxsplit)):
                 if len(fields) < 2:
-                    _check_lines(path, lines, lineno, expected)
+                    _check_lines(path, data, start, lines, expected)
                 yield fields
-        start, lineno = end, lineno + len(lines) - 1
 
 
-def _check_lines(path: Path, lines: list[str], lineno: int,
+def _check_lines(path: Path, data: bytes, start: int, lines: list[str],
                  expected: str) -> None:
-    """Raise `MalformedLine` naming the first of `lines`, numbered from
-    `lineno`, that is not valid UTF-8 or that holds a single field;
-    license header lines start with a space and need only be UTF-8."""
-    for lineno, line in enumerate(lines, lineno):
-        if problem := utf8_problem(line):
+    """Raise `MalformedLine` naming the first of `lines`, the lines of the
+    run at offset `start` of `data`, that is not valid UTF-8 or that holds
+    a single field; license header lines start with a space and need only
+    be UTF-8."""
+    for index, line in enumerate(lines):
+        problem = utf8_problem(line)
+        if not problem and not line.startswith(" ") and len(line.split()) == 1:
+            problem = f"expected {expected}"
+        if problem:
+            head = data[:start]
+            lineno = (head.count(b"\n") + head.count(b"\r")
+                      - head.count(b"\r\n") + index + 1)
             raise MalformedLine(f"{path}:{lineno}: {problem}")
-        if not line.startswith(" ") and len(line.split()) == 1:
-            raise MalformedLine(f"{path}:{lineno}: expected {expected}")
+
+
+# Whitespace that `str.split` splits at, other than " " and "\n".
+_OTHER_SPACES = b"\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# At the start of every entry line (a header line starts with a space),
+# its first field if it has a second, else "".
+_LEMMA_RE = re.compile(r"\n(?=\S)(\S+(?= +\S)|)")
+
+
+def _index_lemmas(path: Path, data: bytes) -> frozenset[str]:
+    """The lemma of every entry line of an index file's bytes.
+
+    A run of ASCII lines split only by " " and "\n" is read with one
+    `findall`; any other run, or one with an entry line of a single
+    field, goes line by line through `_entry_lines`, which raises at the
+    first bad line."""
+    lemmas: list[str] = []
+    for start, run in _runs(data):
+        if run.isascii() and not any(c in run for c in _OTHER_SPACES):
+            found = _LEMMA_RE.findall("\n" + run.decode("ascii"))
+            if "" not in found:
+                if found:
+                    lemmas += _word("\n".join(found)).split("\n")
+                continue
+        lemmas += (_word(fields[0]) for fields in _entry_lines(
+            path, data, [(start, run)], "lemma and pos", maxsplit=1))
+    return frozenset(lemmas)
 
 
 def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
@@ -122,10 +161,7 @@ def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
         data = index_path.read_bytes()
         digest.update(index_name.encode())
         digest.update(data)
-        entries[pos] = frozenset(
-            _word(fields[0])
-            for fields in _entry_lines(index_path, data, "lemma and pos",
-                                       maxsplit=1))
+        entries[pos] = _index_lemmas(index_path, data)
         exceptions[pos] = table = {}
         exc_path = root / exc_name
         if not exc_path.is_file():
@@ -133,7 +169,7 @@ def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
         data = exc_path.read_bytes()
         digest.update(exc_name.encode())
         digest.update(data)
-        for form, *bases in _entry_lines(exc_path, data,
+        for form, *bases in _entry_lines(exc_path, data, _runs(data),
                                          "inflected form and base form"):
             known = tuple(b for b in map(_word, bases) if b in entries[pos])
             if known:

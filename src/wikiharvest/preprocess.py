@@ -1,9 +1,12 @@
 """Shallow NLP pipeline over requirements text.
 
-The pipeline tokenizes, splits sentences, tags each sentence in one pass
-that gives every token its POS tag, lemma and stopword flag, and chunks
-noun phrases.  `Pipeline.tagged_lemmas` runs the same tagging pass but
-builds no `Token` and chunks nothing.  Everything is rule-based and
+One `findall` turns a text into a stream of ``(gap, surface)`` pairs:
+the whitespace before each token, and the token.  Combining marks are
+glued onto their words on the stream, and one pass over it finds the
+sentence breaks and gives every token its POS tag, lemma and stopword
+flag; `Pipeline.tagged_lemmas` stops there.  `Pipeline.preprocess` also
+builds each `Token`, its offsets running sums of gap and surface
+lengths, and chunks noun phrases.  Everything is rule-based and
 deterministic: a curated most-frequent-tag lexicon with suffix fallbacks
 does the tagging, and noun phrases are maximal matches of the grammar
 ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``.
@@ -118,7 +121,7 @@ def default_tag_lexicon() -> Mapping[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# token stream
 
 # Words are runs of Unicode letters, i.e. word characters other than
 # digits and "_" (UAX #29, https://unicode.org/reports/tr29/); combining
@@ -126,14 +129,62 @@ def default_tag_lexicon() -> Mapping[str, str]:
 _WORD_RE = r"[^\W\d_]+(?:['\-][^\W\d_]+)*"
 _NUMBER_RE = r"\d+(?:[.,]\d+)*"
 
+# A stream is the ``(gap, surface)`` pair of every token of a text: the
+# whitespace before the token, and the token.  A token's offsets are
+# running sums of the gap and surface lengths before it.
+Stream = list[tuple[str, str]]
+
 
 @lru_cache(maxsize=None)
 def _token_regex() -> re.Pattern[str]:
-    """Abbreviations (longest first), numbers, words, any other character."""
-    abbreviations = sorted(default_abbreviations(), key=lambda a: (-len(a), a))
-    return re.compile("|".join([
-        "(?:%s)" % "|".join(map(re.escape, abbreviations)),
-        _NUMBER_RE, _WORD_RE, r"\S"]))
+    """A whitespace gap, then one token: an abbreviation (longest first
+    among those of its first letter), a number, a word or any other
+    character."""
+    by_first: dict[str, list[str]] = {}
+    for abbreviation in sorted(default_abbreviations(),
+                               key=lambda a: (-len(a), a)):
+        by_first.setdefault(abbreviation[0], []).append(
+            re.escape(abbreviation[1:]))
+    abbreviations = "|".join(
+        "%s(?:%s)" % (re.escape(first), "|".join(rests))
+        for first, rests in sorted(by_first.items()))
+    return re.compile(r"(\s*)(%s|%s|%s|\S)" % (abbreviations, _NUMBER_RE,
+                                                _WORD_RE))
+
+
+def _token_stream(text: str) -> Stream:
+    """The ``(gap, surface)`` pairs of `text`, from one `findall`."""
+    pairs = _token_regex().findall(text)
+    if text.isascii() or not any(map(_is_mark, _SYMBOL_RE.findall(text))):
+        return pairs
+    return _glue_marks(pairs)
+
+
+# A combining mark is neither a word character nor ASCII, so the regex
+# above leaves it alone as a one-character token (re has no \p{M}).
+_SYMBOL_RE = re.compile(r"[^\w\s\x00-\x7f]")
+
+
+def _is_mark(surface: str) -> bool:
+    return len(surface) == 1 and unicodedata.category(surface)[0] == "M"
+
+
+def _glue_marks(pairs: Stream) -> Stream:
+    """Glue each combining mark onto the word it follows with no gap, with
+    the word run right after the mark, so "q", U+0307 and "uark" become
+    one token."""
+    out: Stream = []
+    after_mark = False
+    for gap, surface in pairs:
+        mark = _is_mark(surface)
+        if (not gap and out and out[-1][1][0].isalpha()
+                and (mark or (after_mark and surface[0].isalpha()))):
+            out[-1] = (out[-1][0], out[-1][1] + surface)
+            after_mark = mark
+        else:
+            out.append((gap, surface))
+            after_mark = False
+    return out
 
 
 def tokenize(text: str) -> list[Token]:
@@ -142,84 +193,40 @@ def tokenize(text: str) -> list[Token]:
     Punctuation marks become single-character tokens; listed abbreviations
     (e.g. "e.g.") keep their periods attached.
     """
-    return [Token(*span) for span in _token_spans(text)]
-
-
-def _token_spans(text: str) -> list[tuple[str, int, int]]:
-    """``(surface, start, end)`` of every token; no `Token` is built."""
-    spans = [(m.group(), m.start(), m.end())
-             for m in _token_regex().finditer(text)]
-    if text.isascii():
-        return spans
-    marks = {m.start() for m in _SYMBOL_RE.finditer(text)
-             if unicodedata.category(m.group()).startswith("M")}
-    return _glue_marks(spans, marks) if marks else spans
-
-
-# A combining mark is neither a word character nor ASCII, so the regex
-# above leaves it alone as a one-character token (re has no \p{M}).
-_SYMBOL_RE = re.compile(r"[^\w\s\x00-\x7f]")
-
-
-def _glue_marks(spans: list[tuple[str, int, int]], marks: set[int]
-                ) -> list[tuple[str, int, int]]:
-    """Glue each combining mark (a start offset in `marks`) onto the word
-    that ends where it begins, with the word run right after the mark, so
-    "q", U+0307 and "uark" become one token."""
-    out: list[tuple[str, int, int]] = []
-    mark_end = -1
-    for span in spans:
-        surface, start, end = span
-        glue = start in marks or (start == mark_end and surface[0].isalpha())
-        if glue and out and out[-1][2] == start and out[-1][0][0].isalpha():
-            prev, prev_start, _ = out[-1]
-            out[-1] = (prev + surface, prev_start, end)
-            if start in marks:
-                mark_end = end
-        else:
-            out.append(span)
-    return out
+    pairs = _token_stream(text)
+    return [token for sentence in _sentences(text, pairs, [()] * len(pairs))
+            for token in sentence.tokens]
 
 
 # ---------------------------------------------------------------------------
 # sentence splitter
 
-_TERMINATOR_RE = re.compile(r"[.!?]+$")
 _PARAGRAPH_GAP_RE = re.compile(r"\n[ \t\r]*\n")
 
 
-def _is_sentence_break(text: str, prev: tuple[str, int, int],
-                       nxt: tuple[str, int, int]) -> bool:
-    prev_surface, _, prev_end = prev
-    surface, start, _ = nxt
-    gap = text[prev_end:start]
-    if _PARAGRAPH_GAP_RE.search(gap):
+def _sentence_break(gap: str, prev: str, surface: str) -> bool:
+    """Whether `surface` opens a sentence after the token `prev` and the
+    whitespace `gap` between them."""
+    if "\n" in gap and _PARAGRAPH_GAP_RE.search(gap):
         return True
-    if not _TERMINATOR_RE.search(prev_surface):
-        return False
-    if prev_surface in default_abbreviations():
-        return False
-    if not gap or not gap.isspace():
-        return False
-    first = surface[0]
-    return first.isupper() or first.isdigit()
+    return (prev[-1] in ".!?" and prev not in default_abbreviations()
+            and gap != "" and (surface[0].isupper() or surface[0].isdigit()))
 
 
-def _sentence_bounds(text: str, spans: Sequence[tuple[str, int, int]]
-                     ) -> Iterator[tuple[int, int]]:
-    """Index ranges ``[i, j)`` of `spans` that form one sentence each.
-
-    A break needs a terminator ending the previous surface or a newline
-    in the gap (a surface holds none), so only then is it checked."""
-    first = 0
-    for k in range(1, len(spans)):
-        prev, nxt = spans[k - 1], spans[k]
-        if ((prev[0][-1] in ".!?" or "\n" in text[prev[2]:nxt[1]])
-                and _is_sentence_break(text, prev, nxt)):
-            yield first, k
-            first = k
-    if spans:
-        yield first, len(spans)
+def _sentences(text: str, pairs: Stream, fields: Sequence[tuple],
+               opens: Sequence[int] = ()) -> Iterator[Sentence]:
+    """The sentences of `text`, whose stream is `pairs`: each index in
+    `opens` opens one after the first, and each `Token` takes the fields
+    after its offsets from `fields`.  No tokens make no sentence."""
+    end = 0
+    for i, j in zip([0, *opens], [*opens, len(pairs)] if pairs else []):
+        tokens = []
+        for (gap, surface), rest in zip(pairs[i:j], fields[i:j]):
+            start = end + len(gap)
+            end = start + len(surface)
+            tokens.append(Token(surface, start, end, *rest))
+        first = tokens[0].start
+        yield Sentence(tokens=tuple(tokens), text=text[first:end], start=first)
 
 
 def split_sentences(text: str) -> list[Sentence]:
@@ -229,14 +236,9 @@ def split_sentences(text: str) -> list[Sentence]:
     digit ends a sentence, unless the preceding token is a known
     abbreviation; blank lines always end one.
     """
-    spans = _token_spans(text)
-    return [_make_sentence(text, tuple(Token(*span) for span in spans[i:j]))
-            for i, j in _sentence_bounds(text, spans)]
-
-
-def _make_sentence(text: str, toks: tuple[Token, ...]) -> Sentence:
-    start, end = toks[0].start, toks[-1].end
-    return Sentence(tokens=toks, text=text[start:end], start=start)
+    pairs = _token_stream(text)
+    _tagged, opens = _tag_stream(pairs, None, {})  # the pass finds the breaks
+    return list(_sentences(text, pairs, [()] * len(pairs), opens))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,9 @@ def _suffix_tag(lower: str, prev_tag: str) -> str:
 
 def pos_tag(sentence_tokens: Sequence[Token]) -> list[Token]:
     """Assign one coarse tag to every token; tagging is total."""
-    tagged = _tag_sentence([t.surface for t in sentence_tokens], None, {})
+    # with no gaps, no break can split the tokens into two sentences
+    tagged, _opens = _tag_stream([("", t.surface) for t in sentence_tokens],
+                                 None, {})
     return [replace(tok, pos=pos)
             for tok, (pos, _lemma, _stop) in zip(sentence_tokens, tagged)]
 
@@ -325,16 +329,24 @@ MEMO_ENTRIES = 1 << 15
 TagMemo = dict[tuple[str, str], tuple[str, str, bool]]
 
 
-def _tag_sentence(words: Sequence[str], lemmatizer: Lemmatizer | None,
-                  memo: TagMemo) -> list[tuple[str, str, bool]]:
-    """``(pos, lemma, is_stopword)`` of every word of one sentence.
+def _tag_stream(pairs: Stream, lemmatizer: Lemmatizer | None, memo: TagMemo
+                ) -> tuple[list[tuple[str, str, bool]], list[int]]:
+    """``(pos, lemma, is_stopword)`` of every token, and the index of each
+    token that opens a sentence after the first.
 
-    A word's answer depends only on its surface and the previous tag,
-    which is "" only for the word that opens the sentence, so `memo`
-    keeps it under that pair."""
+    A break needs a terminator ending the previous surface or a newline
+    in the gap, so only then is the rule checked.  A word's answer
+    depends only on its surface and the previous tag, which is "" only
+    for the word that opens a sentence, so `memo` keeps it under that
+    pair."""
     tagged: list[tuple[str, str, bool]] = []
-    prev_tag = ""
-    for surface in words:
+    opens: list[int] = []
+    prev, prev_tag = " ", ""
+    for gap, surface in pairs:
+        if ((prev[-1] in ".!?" or "\n" in gap) and tagged
+                and _sentence_break(gap, prev, surface)):
+            opens.append(len(tagged))
+            prev_tag = ""
         key = (surface, prev_tag)
         word = memo.get(key)
         if word is None:
@@ -342,8 +354,8 @@ def _tag_sentence(words: Sequence[str], lemmatizer: Lemmatizer | None,
                 memo.clear()
             word = memo[key] = _tag_word(surface, prev_tag, lemmatizer)
         tagged.append(word)
-        prev_tag = word[0]
-    return tagged
+        prev, prev_tag = surface, word[0]
+    return tagged, opens
 
 
 def _tag_word(surface: str, prev_tag: str,
@@ -456,8 +468,8 @@ def _chunk(toks: Sequence[Token],
 class Pipeline:
     """Preprocessor with an optional lemmatizer.
 
-    Tokenizes, splits sentences, tags each sentence in one pass (POS tag,
-    lemma, stopword flag) and chunks noun phrases.  Without a lemmatizer
+    Tokenizes, then splits sentences and tags in one pass (POS tag,
+    lemma, stopword flag), and chunks noun phrases.  Without a lemmatizer
     a lemma is the lowercased surface.
 
     Each pipeline keeps a memo of tagged words outside its equality and
@@ -472,15 +484,6 @@ class Pipeline:
     _memo: TagMemo = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
-    def _tagged_sentences(self, text: str) -> Iterator[tuple[
-            list[tuple[str, int, int]], list[tuple[str, str, bool]]]]:
-        """Each sentence's token spans and ``(pos, lemma, is_stopword)``."""
-        spans = _token_spans(text)
-        for i, j in _sentence_bounds(text, spans):
-            sentence = spans[i:j]
-            yield sentence, _tag_sentence([s for s, _, _ in sentence],
-                                          self.lemmatizer, self._memo)
-
     def preprocess(self, text: str | bytes, source_id: str = "") -> PreprocessedDoc:
         """Run the full pipeline over one document; `source_id` names it in
         an :class:`InvalidEncoding` error."""
@@ -491,25 +494,18 @@ class Pipeline:
                 raise InvalidEncoding(
                     f"{source_id or 'input'}: not valid UTF-8 ({exc})") from exc
         text = unicodedata.normalize("NFC", text)
+        pairs = _token_stream(text)
+        tagged, opens = _tag_stream(pairs, self.lemmatizer, self._memo)
+        sentences = tuple(_sentences(text, pairs, tagged, opens))
+        return PreprocessedDoc(sentences=sentences, noun_phrases=tuple(
+            phrase for sentence in sentences
+            for phrase in _chunk(sentence.tokens, self.lemmatizer)))
 
-        sentences: list[Sentence] = []
-        noun_phrases: list[NounPhrase] = []
-        for spans, tagged in self._tagged_sentences(text):
-            tokens = tuple(
-                Token(surface, start, end, pos, lemma, is_stopword)
-                for (surface, start, end), (pos, lemma, is_stopword)
-                in zip(spans, tagged))
-            sentences.append(_make_sentence(text, tokens))
-            noun_phrases.extend(_chunk(tokens, self.lemmatizer))
-        return PreprocessedDoc(sentences=tuple(sentences),
-                               noun_phrases=tuple(noun_phrases))
-
-    def tagged_lemmas(self, text: str) -> Iterator[tuple[str, str, bool]]:
+    def tagged_lemmas(self, text: str) -> list[tuple[str, str, bool]]:
         """``(pos, lemma, is_stopword)`` of every token, in order: what
         `preprocess` puts in its tokens, without building them or chunking."""
-        for _spans, tagged in self._tagged_sentences(
-                unicodedata.normalize("NFC", text)):
-            yield from tagged
+        return _tag_stream(_token_stream(unicodedata.normalize("NFC", text)),
+                           self.lemmatizer, self._memo)[0]
 
 
 @lru_cache(maxsize=None)
@@ -522,7 +518,7 @@ def content_tokens(text: str) -> list[str]:
     """Lowercased non-stopword word tokens (no tagging), for embeddings and
     title matching."""
     stopwords = default_stopwords()
-    words = (surface.lower() for surface, _start, _end
-             in _token_spans(unicodedata.normalize("NFC", text)))
+    words = (surface.lower() for _gap, surface
+             in _token_stream(unicodedata.normalize("NFC", text)))
     return [word for word in words if any(c.isalpha() for c in word)
             and word not in stopwords]

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from wikiharvest.corpus import (CorpusError, DuplicatePageId, IntegrityError,
                                 write_text_atomic)
 from wikiharvest.crawler import CachedTransport
 from wikiharvest.keywords import Keyword
+from wikiharvest.preprocess import NUM, PUNCT
 from wikiharvest.testing import FakeWiki
 
 
@@ -273,3 +275,47 @@ class TestFrequencyReport:
         a = frequency_report(corp, top_n=20, pipeline=wn_pipeline)
         b = frequency_report(corp, top_n=20, pipeline=wn_pipeline)
         assert a == b
+
+    @staticmethod
+    def per_token_report(texts, pipeline, top_n):
+        """Each token's lemma counted on its own, as the report used to."""
+        counts = Counter()
+        for text in texts:
+            counts.update(
+                lemma for pos, lemma, is_stopword in pipeline.tagged_lemmas(text)
+                if not is_stopword and pos not in (PUNCT, NUM)
+                and len(lemma) > 1 and not lemma.isdigit())
+        ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        return tuple(ordered if top_n is None else ordered[:top_n])
+
+    def test_distinct_triples_match_per_token_count(self, fixtures_dir,
+                                                    wn_pipeline):
+        # "brake" is a noun and a verb, and "rails"/"rail" share a lemma;
+        # the first text has five terms of count 2 that tie at every cut
+        texts = ["rail rails track track brake brake signal signal bridge "
+                 "bridge. Trains brake. The 42 x 3.5 of it",
+                 "Brake the train. A brake stops it. " * 3]
+        texts += [text for _pid, _title, text
+                  in load_corpus(fixtures_dir / "transport_corpus")]
+        corpus = [(n, str(n), text) for n, text in enumerate(texts)]
+        full = self.per_token_report(texts, wn_pipeline, None)
+        for top_n in [None, *range(len(full) + 2)]:
+            assert frequency_report(corpus, top_n=top_n,
+                                    pipeline=wn_pipeline).entries == \
+                self.per_token_report(texts, wn_pipeline, top_n)
+        two = [term for term, count in full if count == 2]
+        assert len(two) > 3
+
+    def test_output_independent_of_hash_seed(self, cli, fixtures_dir):
+        # the report counts tuples; no order may come from hashing
+        def run(seed, *args):
+            return cli(*args, env_extra={"PYTHONHASHSEED": seed}, check=True)
+        wordnet = fixtures_dir / "wordnet_mini"
+        for args in [("report", "--corpus", fixtures_dir / "transport_corpus",
+                      "--top-n", "500", "--wordnet", wordnet),
+                     ("report", "--corpus", fixtures_dir / "transport_corpus",
+                      "--top-n", "500"),
+                     ("keywords", "--input", fixtures_dir / "railway_rs.txt",
+                      "--wordnet", wordnet)]:
+            first = run("1", *args).stdout
+            assert first and first == run("2", *args).stdout

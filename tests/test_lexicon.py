@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikiharvest import lexicon
+from wikiharvest.errors import utf8_problem
 from wikiharvest.lexicon import (MalformedLine, MissingFile, contains_lemma,
                                  load_wordnet, make_lemmatizer, morphy)
 from wikiharvest.preprocess import ADJ, ADV, NOUN, VERB, Pipeline
@@ -142,6 +143,73 @@ class TestLoad:
         (tmp_path / "index.noun").write_text("lunar_module n 1 0 1 0 00000001\n")
         lex = load_wordnet(tmp_path)
         assert contains_lemma(lex, "lunar module")
+
+
+def per_line_index(path, data):
+    """The lemmas of an index file read one line at a time, or the
+    `MalformedLine` message of its first bad line."""
+    text = data.decode("utf-8", errors="surrogateescape")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lemmas = set()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if problem := utf8_problem(line):
+            return f"{path}:{lineno}: {problem}"
+        if not line.startswith(" ") and (fields := line.split(None, 1)):
+            if len(fields) < 2:
+                return f"{path}:{lineno}: expected lemma and pos"
+            lemmas.add(fields[0].replace("_", " ").lower())
+    return frozenset(lemmas)
+
+
+# Pieces of index lines: lemmas (with "_", upper case, non-ASCII, an
+# undecodable byte), separators `str.split` splits at, and line endings.
+INDEX_FIELDS = [b"alpha", b"Beta_Gamma", b"caf\xc3\xa9", b"caf\xe9", b"n",
+                b"1", b"x\x00y", b"\xe2\x80\xa8"]
+INDEX_SPACES = [b" ", b"  ", b"\t", b"\x0c", b"\x0b", b"\x1c", b" \t "]
+INDEX_ENDINGS = [b"\n", b"\n", b"\r\n", b"\r"]
+index_lines = st.one_of(
+    # an entry: lemma, separator, second field, maybe trailing spaces
+    st.tuples(st.sampled_from(INDEX_FIELDS), st.sampled_from(INDEX_SPACES),
+              st.sampled_from(INDEX_FIELDS),
+              st.sampled_from([b"", b" ", b"  0 1"])).map(b"".join),
+    st.sampled_from([b"  license header", b" x", b"", b"lonely",
+                     b"lonely  ", b"lonely\t", b"\x0c"]))
+index_files = st.lists(
+    st.tuples(index_lines, st.sampled_from(INDEX_ENDINGS)).map(b"".join),
+    max_size=30).map(b"".join)
+
+
+class TestIndexRuns:
+    """`_index_lemmas` reads ASCII runs split by " " and "\n" with one
+    `findall`; it must agree with a reader that goes line by line."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @given(data=index_files)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_line_reader(self, chunk, data):
+        path = lexicon.Path("index.noun")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lexicon, "_CHUNK_BYTES", chunk)
+            try:
+                got = lexicon._index_lemmas(path, data)
+            except MalformedLine as exc:
+                got = str(exc)
+        assert got == per_line_index(path, data)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_full_size_shape(self, chunk, monkeypatch):
+        # header, then many well-formed lines with a trailing space, the
+        # shape the fast path is for
+        monkeypatch.setattr(lexicon, "_CHUNK_BYTES", chunk)
+        data = b"  1 header\n  2 header\n" + b"".join(
+            b"word_%d n 1 1 @ 1 0 %08d  \n" % (n, n) for n in range(3000))
+        path = lexicon.Path("index.noun")
+        assert lexicon._index_lemmas(path, data) == per_line_index(path, data)
+        bad = data + b"lonely  \n" + data
+        with pytest.raises(MalformedLine) as exc:
+            lexicon._index_lemmas(path, bad)
+        assert str(exc.value) == per_line_index(path, bad)
+        assert str(exc.value).endswith(":3003: expected lemma and pos")
 
 
 class TestContainsLemma:
