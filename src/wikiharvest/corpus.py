@@ -174,7 +174,7 @@ class Corpus:
         for entry in self.manifest.articles:
             path = self.root / article_path(entry["page_id"])
             try:
-                text = path.read_text("utf-8")
+                text = path.read_bytes().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise IntegrityError(
                     f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}"

@@ -86,6 +86,8 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 # A vector-file row: (line number, token, " " or "", the components).
 _Row = tuple[int, str, str, str]
+# A range's reply: its header, row count, dimension and kept rows.
+_Reply = tuple[tuple[int, int] | None, int, int, "dict[str, np.ndarray]"]
 
 
 def _parse_chunk(path: Path, rows: list[_Row], dimension: int) -> np.ndarray:
@@ -95,9 +97,9 @@ def _parse_chunk(path: Path, rows: list[_Row], dimension: int) -> np.ndarray:
     numpy's parser reads a chunk whose rows all have a decodable token
     and components, none holding a separator only numpy skips; it rejects
     an undecodable byte among the components.  Any other chunk, and one
-    numpy rejects or reads at another width, is parsed row by row with
-    `float()`: that raises the first error in file order and accepts the
-    spellings numpy rejects ("1_0", non-ASCII digits).
+    numpy rejects or reads at another width or as non-finite, is parsed
+    row by row with `float()`: that raises the first error in file order
+    and accepts the spellings numpy rejects ("1_0", non-ASCII digits).
     """
     import numpy as np
     rests = [rest for _, _, _, rest in rows]
@@ -109,7 +111,7 @@ def _parse_chunk(path: Path, rows: list[_Row], dimension: int) -> np.ndarray:
                                comments=None, quotechar=None, ndmin=2)
         except ValueError:
             block = None
-        if block is not None and \
+        if block is not None and np.isfinite(block).all() and \
                 block.shape == (len(rows), dimension or block.shape[1]):
             return block
     parsed = []
@@ -123,6 +125,8 @@ def _parse_chunk(path: Path, rows: list[_Row], dimension: int) -> np.ndarray:
             vec = [float(v) for v in rest.split(" ")]
         except ValueError as exc:
             raise MalformedVectorLine(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise MalformedVectorLine(f"{path}:{lineno}: non-finite component")
         dimension = dimension or len(vec)
         if len(vec) != dimension:
             raise InconsistentDimension(
@@ -246,8 +250,8 @@ def _check_range(conn: Connection, parent_ends: list[Connection],
                  path: Path, start: int, stop: int, dimension: int) -> None:
     """Forked worker: check bytes [start, stop) of `path`.  Rows parsed
     before the parent sends the words to keep are held until it does.
-    Replies with the range's header, row count and kept rows, or with its
-    first error; stops when the parent is gone."""
+    Replies with the range's `_Reply`, or with its first error; stops
+    when the parent is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     for end in parent_ends:     # so a dead parent's pipes read as closed
         end.close()
@@ -267,9 +271,8 @@ def _check_range(conn: Connection, parent_ends: list[Connection],
         take(wait=False)
 
     try:
-        header, rows, _ = _scan_range(path, start, stop, dimension, keep)
-        take(wait=True)
-        reply = (header, rows, kept)
+        reply = (*_scan_range(path, start, stop, dimension, keep), kept)
+        take(wait=True)     # fills `kept`, which the reply holds
     except (WikiHarvestError, OSError, EOFError) as exc:
         reply = exc
     with suppress(OSError):
@@ -322,16 +325,15 @@ class VectorCheck:
     known.
 
     Used as a context manager, a file of at least `_FORK_MIN_BYTES` is cut
-    at line starts into one byte range per usable core, and each range is
+    at line starts into byte ranges (see `_ranges`), and each range is
     checked by a forked worker while the caller goes on (say, tokenizing
-    the texts); `table` then gathers the rows of its words.  Any other
-    file, or one `VectorCheck` is not entered for, is checked in-process
-    by `table`.  Leaving the context stops and reaps the workers.
+    the texts).  Any other file, or one `VectorCheck` is not entered for,
+    is one range, checked in the caller when `load_vectors` asks for its
+    rows.  Leaving the context stops and reaps the workers.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._dimension = 0
         self._workers: list[tuple[BaseProcess, Connection]] = []
 
     def __enter__(self) -> VectorCheck:
@@ -348,13 +350,13 @@ class VectorCheck:
     def _start(self, ranges: list[tuple[int, int]]) -> None:
         import multiprocessing
         context = multiprocessing.get_context("fork")
-        self._dimension = _first_dimension(self.path)
+        dimension = _first_dimension(self.path)
         for start, stop in ranges:
             conn, child = context.Pipe()
             process = context.Process(
                 target=_check_range, daemon=True,
                 args=(child, [c for _, c in self._workers] + [conn],
-                      self.path, start, stop, self._dimension))
+                      self.path, start, stop, dimension))
             with warnings.catch_warnings():
                 # No Python thread runs (see `_ranges`); numpy's BLAS
                 # threads, which Python 3.12 warns about, survive a fork.
@@ -372,23 +374,18 @@ class VectorCheck:
             conn.close()
         self._workers = []
 
-    def table(self, words: Container[str]) -> EmbeddingTable:
-        """The rows of `words`, once every row is checked; raises the first
-        error in file order.  Call it once."""
-        vectors: dict[str, np.ndarray] = {}
+    def _replies(self, words: Container[str]) -> Iterator[_Reply]:
+        """Each range's reply, in file order, keeping the rows of `words`;
+        raises a range's error when its turn comes."""
         if not self._workers:
-            with self.path.open("r", encoding="utf-8",
-                                errors="surrogateescape") as fh:
-                header, rows, dimension = _scan(
-                    self.path, fh, 1, 0,
-                    lambda tokens, block: _keep(tokens, block, words,
-                                                vectors))
-            _check_header(self.path, header, rows, dimension)
-            return EmbeddingTable(dimension=dimension, vectors=vectors)
+            kept: dict[str, np.ndarray] = {}
+            yield *_scan_range(
+                self.path, 0, self.path.stat().st_size, 0,
+                lambda tokens, block: _keep(tokens, block, words, kept)), kept
+            return
         for _, conn in self._workers:
             with suppress(OSError):     # a worker stopped at an error
                 conn.send(words)
-        header, rows = None, 0
         for process, conn in self._workers:
             try:
                 reply = conn.recv()
@@ -399,13 +396,7 @@ class VectorCheck:
                     f"(exit code {process.exitcode})") from None
             if isinstance(reply, BaseException):
                 raise reply
-            range_header, range_rows, kept = reply
-            header = header or range_header    # only line 1 can be one
-            rows += range_rows
-            for token, row in kept.items():
-                vectors.setdefault(token, row)
-        _check_header(self.path, header, rows, self._dimension)
-        return EmbeddingTable(dimension=self._dimension, vectors=vectors)
+            yield reply
 
 
 def load_vectors(vectors: str | Path | VectorCheck,
@@ -417,13 +408,21 @@ def load_vectors(vectors: str | Path | VectorCheck,
     holds the number of rows and their dimension, and must match them.
     Trailing whitespace and blank lines are ignored; duplicate tokens keep
     their first occurrence.  Every row is parsed and checked, `_CHUNK_ROWS`
-    at a time, and the first error in file order is raised; only the rows
-    of `words` are kept.
+    at a time, and the first error in file order is raised; a component
+    must be finite.  The ranges' replies are merged in file order, and
+    only the rows of `words` are kept.  A `VectorCheck` is loaded once.
     """
-    if isinstance(vectors, VectorCheck):
-        return vectors.table(words)
-    with VectorCheck(vectors) as check:
-        return check.table(words)
+    if not isinstance(vectors, VectorCheck):
+        with VectorCheck(vectors) as check:
+            return load_vectors(check, words)
+    header, rows, dimension, table = None, 0, 0, {}
+    for range_header, range_rows, dimension, kept in vectors._replies(words):
+        header = header or range_header     # only line 1 can be one
+        rows += range_rows
+        for token, row in kept.items():
+            table.setdefault(token, row)
+    _check_header(vectors.path, header, rows, dimension)
+    return EmbeddingTable(dimension=dimension, vectors=table)
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,17 @@ class TestEvalCommand:
         assert proc.stderr.decode().splitlines() == [
             f"error: {vectors}:2: not valid UTF-8 (byte 0xe9)"]
 
+    def test_vectors_not_finite_one_line_exit_1(self, cli, tmp_path):
+        # a NaN score would be written as NaN, which is not JSON
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("road 0.1 0.2\ntraffic nan 0.4\n")
+        proc = cli("eval", "--corpus", FIXTURES / "transport_corpus",
+                   "--input", FIXTURES / "transport_test_rs.txt",
+                   "--vectors", vectors)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {vectors}:2: non-finite component"]
+
     def test_corpus_without_manifest_exit_1(self, cli, tmp_path):
         (tmp_path / "c").mkdir()
         proc = cli("eval", "--corpus", tmp_path / "c",

@@ -142,6 +142,18 @@ class TestLoadCorpus:
         for pid, _title, text in SAMPLE:
             assert texts[pid] == text
 
+    def test_round_trip_keeps_carriage_returns(self, tmp_path, wn_pipeline):
+        # "\r\r" holds no newline, so it is no paragraph break: "Geese"
+        # stays inside its sentence, a proper noun, and is not lemmatized
+        texts = [(1, "A", "Rail track.\r\rSignal box\r\nline"),
+                 (2, "B", "Rail track\r\rGeese box\r"),
+                 (3, "C", "\r\n\r\nrail\rtrack\r\n\r")]
+        out = tmp_path / "c"
+        write_corpus(texts, out)
+        assert list(load_corpus(out)) == texts
+        assert frequency_report(load_corpus(out), pipeline=wn_pipeline) == \
+            frequency_report(texts, pipeline=wn_pipeline)
+
     def test_manifest_missing(self, tmp_path):
         (tmp_path / "c").mkdir()
         with pytest.raises(ManifestMissing):

@@ -6,6 +6,7 @@ import random
 import re
 import signal
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,20 @@ class TestLoadVectors:
         assert (problem if first == other_row else "could not convert") \
             in str(exc.value)
 
+    @pytest.mark.parametrize("spelling", ["nan", "-Infinity", "1e500"])
+    @pytest.mark.parametrize("by_row", [False, True])
+    def test_non_finite_component_rejected(self, tmp_path, spelling, by_row):
+        # numpy and float() both read these; a NaN row makes cosine NaN
+        rows = [f"w{i} {i} 1" for i in range(600)]
+        rows[400] = f"w400 2 {spelling}"
+        if by_row:
+            rows[300] = "w300 1_0 1"  # numpy rejects it: that chunk goes by row
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedVectorLine,
+                           match=":401: non-finite component$"):
+            load_vectors(path, {"w1"})
+
     def test_kept_rows_own_their_memory(self, tmp_path):
         # a view into a chunk's block would keep the whole block alive
         rows = [f"w{i} {i} 1" for i in range(600)]
@@ -185,8 +200,8 @@ class TestLoadVectors:
 
 def reference_load(path):
     """The row-by-row loader: `float()` on every component of every row,
-    keeping every row, then the header against the rows read.  Returns
-    (dimension, vectors)."""
+    each of which must be finite, keeping every row, then the header
+    against the rows read.  Returns (dimension, vectors)."""
     vectors, dimension, rows, header = {}, 0, 0, None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -207,6 +222,8 @@ def reference_load(path):
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise MalformedVectorLine(f"{path}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in vec):
+                raise MalformedVectorLine(f"{path}:{lineno}: not finite")
             if dimension == 0:
                 dimension = vec.shape[0]
             elif vec.shape[0] != dimension:
@@ -243,7 +260,8 @@ def assert_loads_like_reference(path, words):
 
 TOKENS = [f"w{i}" for i in range(12)] + ["Zürich", "rail"]
 # Spellings both parsers read, ones only float() reads ("1_0", non-ASCII
-# digits), ones only numpy reads (around "\x1c"), and ones neither reads.
+# digits), ones only numpy reads (around "\x1c"), ones neither reads, and
+# non-finite ones ("nan", "inf", "1e500") both read but the loader rejects.
 ODD_FIELDS = ["1_0", "\uff11", "\u0663.5", "nan", "-nan", "inf", "-Infinity",
               "1e500", "-0.0", "1.", ".5", "+2", "two", "", "0x1p3", "1,5",
               "1.5\x1c", "\x1f2", "\x0c3", "1\u2003", "nan(1)"]
@@ -498,6 +516,26 @@ class TestRangeWorkers:
                 with pytest.raises(WikiHarvestError,
                                    match="worker stopped.*-9"):
                     load_vectors(check, {"w001"})
+        assert_reaped(pids)
+
+    def test_fork_warning_about_threads_is_ignored(self, tmp_path):
+        # Python 3.12's os.fork warns when other threads run, as numpy's
+        # BLAS threads may; the check forks all the same
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(fixed_width_rows()) + "\n")
+        with split_into(2) as pids, warnings.catch_warnings(), \
+                pytest.MonkeyPatch.context() as mp:
+            fork = os.fork
+
+            def warning_fork():
+                warnings.warn("This process (pid=1) is multi-threaded, use "
+                              "of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning)
+                return fork()
+            mp.setattr(os, "fork", warning_fork)
+            warnings.simplefilter("error")
+            assert_loads_like_reference(path, {"w001", "w599"})
+        assert len(pids) == 2
         assert_reaped(pids)
 
     def test_threaded_caller_loads_in_process(self, tmp_path, monkeypatch):
