@@ -21,7 +21,7 @@ from .corpus import (CorpusManifest, created_at_now, frequency_report,
 from .crawler import (DEFAULT_ENDPOINT, DEFAULT_USER_AGENT, CachedTransport,
                       WikiClient, dedupe_seeds, expand, fetch_all_texts,
                       search_keywords)
-from .errors import WikiHarvestError
+from .errors import WikiHarvestError, decode_utf8
 from .keywords import extract_keywords, keywords_to_tsv
 from .lexicon import MissingFile, load_wordnet, make_lemmatizer
 from .preprocess import Pipeline
@@ -70,13 +70,6 @@ def _exit_codes() -> Iterator[None]:
         raise click.UsageError(f"--wordnet: {exc}")
     except (WikiHarvestError, OSError) as exc:
         _fail(str(exc))
-
-
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        _fail(f"{path}: not valid UTF-8 ({exc})")
 
 
 def _keywords(rs_bytes: bytes, rs_name: str, wordnet_dir: Path,
@@ -241,7 +234,8 @@ def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
     with _exit_codes():
         # the vector file is checked while the texts are tokenized
         with VectorCheck(vectors_path) as vectors:
-            texts = eval_texts(load_corpus(corpus_dir), _read_utf8(test_rs))
+            texts = eval_texts(load_corpus(corpus_dir),
+                               decode_utf8(test_rs.read_bytes(), test_rs))
             table = load_vectors(vectors, texts.words)
         report = evaluate(texts, table)
         summary = (f"articles: {len(report.per_article)}  "

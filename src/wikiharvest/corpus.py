@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .errors import WikiHarvestError
+from .errors import InvalidEncoding, WikiHarvestError, decode_utf8
 from .keywords import Keyword
 from .preprocess import NUM, PUNCT, Pipeline, default_pipeline
 
@@ -174,11 +174,9 @@ class Corpus:
         for entry in self.manifest.articles:
             path = self.root / article_path(entry["page_id"])
             try:
-                text = path.read_bytes().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise IntegrityError(
-                    f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}"
-                    f" at offset {exc.start})") from None
+                text = decode_utf8(path.read_bytes(), path)
+            except InvalidEncoding as exc:
+                raise IntegrityError(str(exc)) from None
             yield entry["page_id"], entry["title"], text
 
 

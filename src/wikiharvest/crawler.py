@@ -29,7 +29,8 @@ from urllib.parse import urlencode
 
 from . import __version__
 from .errors import WikiHarvestError
-from .preprocess import NOUN, Pipeline, content_tokens, default_pipeline
+from .preprocess import (NOUN, Pipeline, content_tokens, default_pipeline,
+                         lemmatize)
 
 log = logging.getLogger(__name__)
 
@@ -290,8 +291,8 @@ class CachedTransport:
 def _head_lemmatized(text: str, pipeline: Pipeline) -> set[str]:
     """Content tokens, the last (head) one as the pipeline's noun lemma."""
     words = content_tokens(text)
-    if words and pipeline.lemmatizer is not None:
-        words[-1] = pipeline.lemmatizer(words[-1], NOUN) or words[-1]
+    if words:
+        words[-1] = lemmatize(words[-1], NOUN, pipeline.lemmatizer)
     return set(words)
 
 

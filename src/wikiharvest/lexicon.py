@@ -12,12 +12,11 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import WikiHarvestError, utf8_problem
-from .preprocess import ADJ, ADV, MEMO_ENTRIES, NOUN, VERB
+from .preprocess import ADJ, ADV, NOUN, VERB
 
 
 class MissingFile(WikiHarvestError):
@@ -230,10 +229,8 @@ def morphy(lexicon: WordnetLexicon, surface: str, pos: str) -> Optional[str]:
 
 
 def make_lemmatizer(lexicon: WordnetLexicon):
-    """Adapter giving the preprocess pipeline a (surface, pos) lemmatizer,
-    with `morphy`'s answer cached per ``(surface, pos)``, for the
-    `MEMO_ENTRIES` most recent pairs."""
-    @lru_cache(maxsize=MEMO_ENTRIES)
+    """Adapter giving the preprocess pipeline a (surface, pos) lemmatizer.
+    It keeps no cache: a `Pipeline`'s tagging memo keeps its answers."""
     def lemmatizer(surface: str, pos: str) -> Optional[str]:
         return morphy(lexicon, surface, pos)
     return lemmatizer

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .errors import WikiHarvestError
+# InvalidEncoding stays importable from here
+from .errors import InvalidEncoding, decode_utf8  # noqa: F401
 
 # Coarse part-of-speech tag set.
 NOUN = "NOUN"
@@ -47,10 +48,6 @@ COARSE_TAGS = frozenset(
 
 _NP_MODIFIER = frozenset({ADJ, NOUN, PROPN, NUM})
 _NP_HEAD = frozenset({NOUN, PROPN})
-
-
-class InvalidEncoding(WikiHarvestError):
-    """Input bytes are not decodable as UTF-8 text."""
 
 
 @dataclass(frozen=True)
@@ -317,13 +314,12 @@ def pos_tag(sentence_tokens: Sequence[Token]) -> list[Token]:
     # with no gaps, no break can split the tokens into two sentences
     tagged, _opens = _tag_stream([("", t.surface) for t in sentence_tokens],
                                  None, {})
-    return [replace(tok, pos=pos)
-            for tok, (pos, _lemma, _stop) in zip(sentence_tokens, tagged)]
+    return [Token(t.surface, t.start, t.end, pos, t.lemma, t.is_stopword)
+            for t, (pos, _lemma, _stop) in zip(sentence_tokens, tagged)]
 
 
-# The most entries a pipeline's tagging memo holds before it is cleared,
-# and the size of a WordNet lemmatizer's cache: full of distinct words,
-# the two take about 15 MiB.
+# The most entries a pipeline's tagging memo holds before it is cleared:
+# full of distinct words, it takes about 9 MiB.
 MEMO_ENTRIES = 1 << 15
 
 TagMemo = dict[tuple[str, str], tuple[str, str, bool]]
@@ -398,43 +394,27 @@ def lemmatize(surface: str, pos: str, lemmatizer: Lemmatizer | None = None) -> s
 # noun-phrase chunker
 
 
-def _strip_boundary_stopwords(tokens: list[Token]) -> list[Token]:
-    while tokens and tokens[0].is_stopword:
-        tokens = tokens[1:]
-    while tokens and tokens[-1].is_stopword:
-        tokens = tokens[:-1]
-    return tokens
-
-
-def _normalize_np(tokens: Sequence[Token],
-                  lemmatizer: Lemmatizer | None) -> Optional[str]:
-    kept = [t for t in tokens if t.pos != DET]
-    kept = _strip_boundary_stopwords(list(kept))
-    if not kept:
-        return None
-    words = [t.surface.lower() for t in kept[:-1]]
-    head = kept[-1]
-    head_lemma = head.lemma or lemmatize(head.surface, head.pos, lemmatizer)
-    words.append(head_lemma)
-    return " ".join(words)
-
-
 def chunk_noun_phrases(tagged_sentence: Sequence[Token],
                        lemmatizer: Lemmatizer | None = None) -> list[NounPhrase]:
     """Maximal noun phrases of a tagged sentence.
 
     Matches ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``, then strips the
-    determiner and boundary stopwords and lemmatizes the head noun.
-    Stopword flags are set from the bundled list before matching.
+    determiner and boundary stopwords and lemmatizes the head noun.  A
+    token without a lemma gets one here, and stopword flags are set from
+    the bundled list before matching.
     """
     stopwords = default_stopwords()
-    return _chunk([replace(t, is_stopword=t.surface.lower() in stopwords)
-                   for t in tagged_sentence], lemmatizer)
+    return _chunk([Token(t.surface, t.start, t.end, t.pos,
+                         t.lemma or lemmatize(t.surface, t.pos, lemmatizer),
+                         t.surface.lower() in stopwords)
+                   for t in tagged_sentence])
 
 
-def _chunk(toks: Sequence[Token],
-           lemmatizer: Lemmatizer | None) -> list[NounPhrase]:
-    """Noun phrases of tagged tokens whose stopword flags are already set."""
+def _chunk(toks: Sequence[Token]) -> list[NounPhrase]:
+    """Noun phrases of tagged tokens whose lemmas and stopword flags are
+    set.  Only a match's first token can be a determiner, so a phrase's
+    normalized words are the rest, less boundary stopwords: lowercased
+    surfaces, then the last word's lemma."""
     phrases: list[NounPhrase] = []
     n = len(toks)
     i = 0
@@ -449,13 +429,16 @@ def _chunk(toks: Sequence[Token],
         if last_head < 0:
             i = max(k, i + 1)
             continue
-        span = toks[i:last_head + 1]
-        normalized = _normalize_np(span, lemmatizer)
-        if normalized:
+        kept = toks[j:last_head + 1]
+        while kept and kept[0].is_stopword:
+            kept = kept[1:]
+        while kept and kept[-1].is_stopword:
+            kept = kept[:-1]
+        if kept:
             phrases.append(NounPhrase(
-                surface=" ".join(t.surface for t in span),
-                normalized=normalized,
-            ))
+                surface=" ".join(t.surface for t in toks[i:last_head + 1]),
+                normalized=" ".join([*(t.surface.lower() for t in kept[:-1]),
+                                     kept[-1].lemma])))
         i = last_head + 1
     return phrases
 
@@ -488,18 +471,14 @@ class Pipeline:
         """Run the full pipeline over one document; `source_id` names it in
         an :class:`InvalidEncoding` error."""
         if isinstance(text, bytes):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InvalidEncoding(
-                    f"{source_id or 'input'}: not valid UTF-8 ({exc})") from exc
+            text = decode_utf8(text, source_id or "input")
         text = unicodedata.normalize("NFC", text)
         pairs = _token_stream(text)
         tagged, opens = _tag_stream(pairs, self.lemmatizer, self._memo)
         sentences = tuple(_sentences(text, pairs, tagged, opens))
         return PreprocessedDoc(sentences=sentences, noun_phrases=tuple(
             phrase for sentence in sentences
-            for phrase in _chunk(sentence.tokens, self.lemmatizer)))
+            for phrase in _chunk(sentence.tokens)))
 
     def tagged_lemmas(self, text: str) -> list[tuple[str, str, bool]]:
         """``(pos, lemma, is_stopword)`` of every token, in order: what

@@ -353,6 +353,33 @@ class TestDamagedCorpus:
         assert line.startswith(f"error: {manifest}: not a valid manifest")
 
 
+class TestInputNotUtf8:
+    """A requirements text or background document that is not UTF-8 is
+    one `error:` line naming the file, its first bad byte and that byte's
+    offset, with exit 1; `mine` then writes nothing under --out."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("mine", "--input"), ("mine", "--background"),
+        ("keywords", "--input"), ("keywords", "--background"),
+        ("eval", "--input")])
+    def test_one_error_line_exit_1(self, cli, tmp_path, command, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"The caf\xe9 stops.\n")
+        out = tmp_path / "out"
+        inputs = (["--input", bad] if flag == "--input"
+                  else ["--input", RAILWAY_RS, "--background", bad])
+        args = {"mine": ("--wordnet", WORDNET, "--out", out, "--offline"),
+                "keywords": ("--wordnet", WORDNET),
+                "eval": ("--corpus", FIXTURES / "transport_corpus",
+                         "--vectors", VECTORS)}[command]
+        proc = cli(command, *args, *inputs)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {bad}: not valid UTF-8 (byte 0xe9 at offset 7)"]
+        assert proc.stdout == b""
+        assert not out.exists()
+
+
 class TestEvalWorkers:
     """`eval` with its vector file checked in forked range workers: the
     same report, one error line, and no worker left behind."""

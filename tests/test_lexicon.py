@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wikiharvest import lexicon
+from wikiharvest import lexicon, preprocess
 from wikiharvest.errors import utf8_problem
 from wikiharvest.lexicon import (MalformedLine, MissingFile, contains_lemma,
                                  load_wordnet, make_lemmatizer, morphy)
@@ -269,22 +269,38 @@ class TestMorphy:
 
 
 class TestMakeLemmatizer:
-    def test_morphy_runs_once_per_form_and_pos(self, mini_wordnet,
-                                                monkeypatch):
-        calls = Counter()
-        real = lexicon.morphy
+    def test_morphy_runs_once_per_memo_key(self, mini_wordnet, monkeypatch):
+        """The pipeline's tagging memo is the only cache of lemmas: one
+        pass asks `morphy` at most once per memo key (surface, previous
+        tag), and a second pass over the same text asks it nothing."""
+        calls = []
+        keys = Counter()
+        real_morphy, real_tag_word = lexicon.morphy, preprocess._tag_word
 
-        def counting(lex, surface, pos):
-            calls[surface, pos] += 1
-            return real(lex, surface, pos)
+        def counting_morphy(lex, surface, pos):
+            calls.append((surface, pos))
+            return real_morphy(lex, surface, pos)
 
-        monkeypatch.setattr(lexicon, "morphy", counting)
+        def counting_tag_word(surface, prev_tag, lemmatizer):
+            before = len(calls)
+            word = real_tag_word(surface, prev_tag, lemmatizer)
+            assert len(calls) - before <= 1
+            keys[surface, prev_tag] += 1
+            return word
+
+        monkeypatch.setattr(lexicon, "morphy", counting_morphy)
+        monkeypatch.setattr(preprocess, "_tag_word", counting_tag_word)
         pipeline = Pipeline(lemmatizer=make_lemmatizer(mini_wordnet))
         text = "The rovers stop. The rovers stop. Rovers transmitted data."
         first = pipeline.preprocess(text)
+        assert set(keys.values()) == {1}
+        assert 0 < len(calls) <= len(keys)
+        # ("rovers", NOUN) is asked once after "The" and once opening a
+        # sentence: two memo keys
+        assert calls.count(("rovers", NOUN)) == 2
+        calls.clear()
         assert pipeline.preprocess(text) == first
-        assert calls[("rovers", NOUN)] == 1
-        assert set(calls.values()) == {1}
+        assert calls == []
 
     def test_cached_answers_match_morphy(self, mini_wordnet):
         lemmatizer = make_lemmatizer(mini_wordnet)

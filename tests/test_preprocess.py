@@ -217,6 +217,14 @@ class TestPosTag:
         for t in pos_tag(tokenize(text)):
             assert t.pos in COARSE_TAGS
 
+    def test_keeps_each_token_lemma_and_stopword_flag(self):
+        toks = [Token("The", 0, 3, lemma="le", is_stopword=False),
+                Token("rovers", 4, 10, pos=VERB, lemma="rover",
+                      is_stopword=True)]
+        assert pos_tag(toks) == [
+            Token("The", 0, 3, DET, "le", False),
+            Token("rovers", 4, 10, NOUN, "rover", True)]
+
     def test_deterministic(self):
         text = "The braking system shall stop the train within 5 seconds."
         a = [t.pos for t in pos_tag(tokenize(text))]
@@ -276,6 +284,12 @@ class TestChunker:
         ]
         nps = chunk_noun_phrases(toks, None)
         assert [np.normalized for np in nps] == ["trains"]
+
+    def test_given_lemma_is_kept(self):
+        toks = [Token("lunar", 0, 5, pos=ADJ),
+                Token("Rovers", 6, 12, pos=NOUN, lemma="rover")]
+        [np] = chunk_noun_phrases(toks, None)
+        assert (np.surface, np.normalized) == ("lunar Rovers", "lunar rover")
 
     def test_no_boundary_stopwords_invariant(self, wn_pipeline):
         stop = default_stopwords()
