@@ -6,20 +6,19 @@
 from pathlib import Path
 
 from wikiharvest.corpus import load_corpus
-from wikiharvest.relatedness import (VectorCheck, cosine, embed_document,
-                                     eval_texts, evaluate, load_vectors)
+from wikiharvest.relatedness import (cosine, embed_document, eval_texts,
+                                     evaluate, load_vectors)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-# Tokenize the corpus and the held-out RS once; the vector file is read
-# in full and checked, but only the rows of their words are kept.  A large
-# file is checked by forked workers while the texts are tokenized; this
-# toy one is checked in-process.
-with VectorCheck(FIXTURES / "vectors_toy.txt") as vectors:
-    corpus = load_corpus(FIXTURES / "transport_corpus")
-    test_rs = (FIXTURES / "transport_test_rs.txt").read_text("utf-8")
-    texts = eval_texts(corpus, test_rs)
-    table = load_vectors(vectors, texts.words)
+# Tokenize the corpus and the held-out RS once; the vector file is then
+# read in full and checked, but only the rows of their words are kept.  A
+# large file is checked by forked workers after the texts are tokenized;
+# this toy one is checked in-process.
+corpus = load_corpus(FIXTURES / "transport_corpus")
+test_rs = (FIXTURES / "transport_test_rs.txt").read_text("utf-8")
+texts = eval_texts(corpus, test_rs)
+table = load_vectors(FIXTURES / "vectors_toy.txt", texts.words)
 print(f"embedding table: {len(table.vectors)} of {len(texts.words)} "
       f"distinct words kept, dimension {table.dimension}")
 

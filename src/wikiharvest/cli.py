@@ -25,7 +25,7 @@ from .errors import WikiHarvestError, decode_utf8
 from .keywords import extract_keywords, keywords_to_tsv
 from .lexicon import MissingFile, load_wordnet, make_lemmatizer
 from .preprocess import Pipeline
-from .relatedness import VectorCheck, eval_texts, evaluate, load_vectors
+from .relatedness import eval_texts, evaluate, load_vectors
 
 log = logging.getLogger("wikiharvest")
 
@@ -232,12 +232,9 @@ def keywords_cmd(input_rs, top_k, wordnet_dir, background_paths):
 def eval_cmd(corpus_dir, test_rs, vectors_path, out_path):
     """Score each corpus article against a held-out RS (cosine similarity)."""
     with _exit_codes():
-        # the vector file is checked while the texts are tokenized
-        with VectorCheck(vectors_path) as vectors:
-            texts = eval_texts(load_corpus(corpus_dir),
-                               decode_utf8(test_rs.read_bytes(), test_rs))
-            table = load_vectors(vectors, texts.words)
-        report = evaluate(texts, table)
+        texts = eval_texts(load_corpus(corpus_dir),
+                           decode_utf8(test_rs.read_bytes(), test_rs))
+        report = evaluate(texts, load_vectors(vectors_path, texts.words))
         summary = (f"articles: {len(report.per_article)}  "
                    f"min={report.min:.4f} avg={report.avg:.4f} "
                    f"max={report.max:.4f} oov_rate={report.oov_rate:.4f}")

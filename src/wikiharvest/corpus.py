@@ -186,8 +186,9 @@ def load_corpus(directory: str | Path) -> Corpus:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ManifestMissing(f"no {MANIFEST_NAME} in {root}")
+    text = decode_utf8(manifest_path.read_bytes(), manifest_path)
     try:
-        manifest = CorpusManifest.from_json(manifest_path.read_text("utf-8"))
+        manifest = CorpusManifest.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise IntegrityError(f"{manifest_path}: not a valid manifest "
                              f"({type(exc).__name__}: {exc})") from None

@@ -4,8 +4,10 @@ A document vector is the unweighted mean of the word vectors of its
 in-vocabulary, non-stopword tokens.  Texts with no such tokens embed to
 the zero vector, and cosine against a zero vector is defined as 0 so the
 evaluation stays total; the out-of-vocabulary rate is reported so vacuous
-scores can be spotted.  numpy is imported by the functions that compute,
-so importing this module (and the CLI) does not load it.
+scores can be spotted.  `eval_texts` tokenizes the texts first, and
+`load_vectors(path, texts.words)` then checks the vector file and keeps
+only the rows of those words.  numpy is imported by the functions that
+compute, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -156,33 +158,26 @@ def _header(row: _Row) -> tuple[int, int] | None:
 
 
 def _scan(path: Path, lines: Iterable[str], lineno: int, dimension: int,
-          keep: Callable[[list[str], np.ndarray], None]
-          ) -> tuple[tuple[int, int] | None, int, int]:
+          words: Container[str]) -> _Reply:
     """Check every row of `lines`, the first being line `lineno` of
-    `path`, `_CHUNK_ROWS` at a time, and hand each chunk's tokens and
-    block to `keep`.  Returns the header, the number of rows and their
-    dimension (the first row's, when `dimension` is 0)."""
+    `path`, `_CHUNK_ROWS` at a time.  Returns the header, the number of
+    rows, their dimension (the first row's, when `dimension` is 0) and a
+    copy of the first row of each of `words`: a view would keep the whole
+    block alive."""
     rows = _rows(lines, lineno)
     first = next(rows, None)
     header = first and _header(first)
     if first and not header:
         rows = chain([first], rows)
-    count = 0
+    count, kept = 0, {}
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         block = _parse_chunk(path, chunk, dimension)
         dimension = block.shape[1]
-        keep([token for _, token, _, _ in chunk], block)
+        for (_, token, _, _), row in zip(chunk, block):
+            if token in words and token not in kept:
+                kept[token] = row.copy()
         count += len(chunk)
-    return header, count, dimension
-
-
-def _keep(tokens: list[str], block: np.ndarray, words: Container[str],
-          vectors: dict[str, np.ndarray]) -> None:
-    """Copy the rows of `words` not yet in `vectors` out of `block`.  A
-    kept row is a copy: a view would keep the whole block alive."""
-    for token, row in zip(tokens, block):
-        if token in words and token not in vectors:
-            vectors[token] = row.copy()
+    return header, count, dimension, kept
 
 
 def _check_header(path: Path, header: tuple[int, int] | None, rows: int,
@@ -223,8 +218,7 @@ def _range_lines(path: Path, start: int, stop: int) -> io.TextIOWrapper:
 
 
 def _scan_range(path: Path, start: int, stop: int, dimension: int,
-                keep: Callable[[list[str], np.ndarray], None]
-                ) -> tuple[tuple[int, int] | None, int, int]:
+                words: Container[str]) -> _Reply:
     """`_scan` bytes [start, stop) of `path`, which start a line.
 
     A range after the first is numbered from line 2, the lowest its first
@@ -235,45 +229,29 @@ def _scan_range(path: Path, start: int, stop: int, dimension: int,
     """
     with _range_lines(path, start, stop) as lines:
         try:
-            return _scan(path, lines, 2 if start else 1, dimension, keep)
+            return _scan(path, lines, 2 if start else 1, dimension, words)
         except WikiHarvestError:
             if not start:
                 raise
             with _range_lines(path, 0, start) as before:
                 first = 1 + sum(1 for _ in before)
             with _range_lines(path, start, stop) as again:
-                _scan(path, again, first, dimension, lambda *_: None)
+                _scan(path, again, first, dimension, ())
             raise
 
 
 def _check_range(conn: Connection, parent_ends: list[Connection],
-                 path: Path, start: int, stop: int, dimension: int) -> None:
-    """Forked worker: check bytes [start, stop) of `path`.  Rows parsed
-    before the parent sends the words to keep are held until it does.
-    Replies with the range's `_Reply`, or with its first error; stops
-    when the parent is gone."""
+                 path: Path, start: int, stop: int, dimension: int,
+                 words: Container[str]) -> None:
+    """Forked worker: check bytes [start, stop) of `path` and reply with
+    the range's `_Reply`, or with its first error; stops when the parent
+    is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     for end in parent_ends:     # so a dead parent's pipes read as closed
         end.close()
-    words, held, kept = None, [], {}
-
-    def take(wait: bool) -> None:
-        nonlocal words
-        if words is None and (wait or conn.poll()):
-            words = conn.recv()
-        if words is not None:
-            for tokens, block in held:
-                _keep(tokens, block, words, kept)
-            held.clear()
-
-    def keep(tokens: list[str], block: np.ndarray) -> None:
-        held.append((tokens, block))
-        take(wait=False)
-
     try:
-        reply = (*_scan_range(path, start, stop, dimension, keep), kept)
-        take(wait=True)     # fills `kept`, which the reply holds
-    except (WikiHarvestError, OSError, EOFError) as exc:
+        reply = _scan_range(path, start, stop, dimension, words)
+    except (WikiHarvestError, OSError) as exc:
         reply = exc
     with suppress(OSError):
         conn.send(reply)
@@ -320,108 +298,87 @@ def _first_dimension(path: Path) -> int:
     return 0
 
 
-class VectorCheck:
-    """The check of one vector file, started before the words to keep are
-    known.
-
-    Used as a context manager, a file of at least `_FORK_MIN_BYTES` is cut
-    at line starts into byte ranges (see `_ranges`), and each range is
-    checked by a forked worker while the caller goes on (say, tokenizing
-    the texts).  Any other file, or one `VectorCheck` is not entered for,
-    is one range, checked in the caller when `load_vectors` asks for its
-    rows.  Leaving the context stops and reaps the workers.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._workers: list[tuple[BaseProcess, Connection]] = []
-
-    def __enter__(self) -> VectorCheck:
-        try:
-            if ranges := _ranges(self.path):
-                self._start(ranges)
-        except OSError:     # the file, or fork, fails: check in-process
-            self.__exit__()
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def _start(self, ranges: list[tuple[int, int]]) -> None:
-        import multiprocessing
-        context = multiprocessing.get_context("fork")
-        dimension = _first_dimension(self.path)
-        for start, stop in ranges:
-            conn, child = context.Pipe()
-            process = context.Process(
-                target=_check_range, daemon=True,
-                args=(child, [c for _, c in self._workers] + [conn],
-                      self.path, start, stop, dimension))
-            with warnings.catch_warnings():
-                # No Python thread runs (see `_ranges`); numpy's BLAS
-                # threads, which Python 3.12 warns about, survive a fork.
-                warnings.filterwarnings("ignore", "This process .* is "
-                                        "multi-threaded", DeprecationWarning)
-                process.start()
-            child.close()
-            self._workers.append((process, conn))
-
-    def __exit__(self, *exc_info) -> None:
-        for process, conn in self._workers:
-            process.kill()
-            process.join()
-            process.close()
-            conn.close()
-        self._workers = []
-
-    def _replies(self, words: Container[str]) -> Iterator[_Reply]:
-        """Each range's reply, in file order, keeping the rows of `words`;
-        raises a range's error when its turn comes."""
-        if not self._workers:
-            kept: dict[str, np.ndarray] = {}
-            yield *_scan_range(
-                self.path, 0, self.path.stat().st_size, 0,
-                lambda tokens, block: _keep(tokens, block, words, kept)), kept
-            return
-        for _, conn in self._workers:
-            with suppress(OSError):     # a worker stopped at an error
-                conn.send(words)
-        for process, conn in self._workers:
-            try:
-                reply = conn.recv()
-            except (EOFError, ConnectionError):
-                process.join()
-                raise WikiHarvestError(
-                    f"{self.path}: a vector check worker stopped "
-                    f"(exit code {process.exitcode})") from None
-            if isinstance(reply, BaseException):
-                raise reply
-            yield reply
+def _fork_workers(path: Path, words: Container[str],
+                  workers: list[tuple[BaseProcess, Connection]]) -> None:
+    """Fork a `_check_range` worker for each of the `_ranges` of `path`,
+    adding it and the parent's end of its pipe to `workers`."""
+    if not (ranges := _ranges(path)):
+        return
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    dimension = _first_dimension(path)
+    for start, stop in ranges:
+        conn, child = context.Pipe()
+        process = context.Process(
+            target=_check_range, daemon=True,
+            args=(child, [c for _, c in workers] + [conn],
+                  path, start, stop, dimension, words))
+        with warnings.catch_warnings():
+            # No Python thread runs (see `_ranges`); numpy's BLAS
+            # threads, which Python 3.12 warns about, survive a fork.
+            warnings.filterwarnings("ignore", "This process .* is "
+                                    "multi-threaded", DeprecationWarning)
+            process.start()
+        child.close()
+        workers.append((process, conn))
 
 
-def load_vectors(vectors: str | Path | VectorCheck,
-                 words: Container[str]) -> EmbeddingTable:
-    """Load the rows of `words` from a word2vec/GloVe text-format file, or
-    from the `VectorCheck` of one, started before `words` was known.
+def _reply(path: Path, process: BaseProcess, conn: Connection) -> _Reply:
+    """A worker's reply; raises its error, or one saying it stopped."""
+    try:
+        reply = conn.recv()
+    except (EOFError, ConnectionError):
+        process.join()
+        raise WikiHarvestError(
+            f"{path}: a vector check worker stopped "
+            f"(exit code {process.exitcode})") from None
+    if isinstance(reply, BaseException):
+        raise reply
+    return reply
+
+
+def _stop(workers: list[tuple[BaseProcess, Connection]]) -> None:
+    """Kill and reap every worker, and close its pipe."""
+    for process, conn in workers:
+        process.kill()
+        process.join()
+        process.close()
+        conn.close()
+    workers.clear()
+
+
+def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
+    """Load the rows of `words` from a word2vec/GloVe text-format file.
 
     Each line is ``token v1 v2 ... vd``; an optional leading header line
     holds the number of rows and their dimension, and must match them.
     Trailing whitespace and blank lines are ignored; duplicate tokens keep
     their first occurrence.  Every row is parsed and checked, `_CHUNK_ROWS`
     at a time, and the first error in file order is raised; a component
-    must be finite.  The ranges' replies are merged in file order, and
-    only the rows of `words` are kept.  A `VectorCheck` is loaded once.
+    must be finite.  A file of at least `_FORK_MIN_BYTES` is cut at line
+    starts into byte ranges (see `_ranges`), each checked by a forked
+    worker; any other file is one range, checked in the caller.  The
+    ranges' replies are merged in file order, and only the rows of
+    `words` are kept.
     """
-    if not isinstance(vectors, VectorCheck):
-        with VectorCheck(vectors) as check:
-            return load_vectors(check, words)
-    header, rows, dimension, table = None, 0, 0, {}
-    for range_header, range_rows, dimension, kept in vectors._replies(words):
-        header = header or range_header     # only line 1 can be one
-        rows += range_rows
-        for token, row in kept.items():
-            table.setdefault(token, row)
-    _check_header(vectors.path, header, rows, dimension)
+    path = Path(path)
+    workers: list[tuple[BaseProcess, Connection]] = []
+    try:
+        try:
+            _fork_workers(path, words, workers)
+        except OSError:     # the file, or fork, fails: check in-process
+            _stop(workers)
+        replies = (_reply(path, *worker) for worker in workers) if workers \
+            else [_scan_range(path, 0, path.stat().st_size, 0, words)]
+        header, rows, dimension, table = None, 0, 0, {}
+        for range_header, range_rows, dimension, kept in replies:
+            header = header or range_header     # only line 1 can be one
+            rows += range_rows
+            for token, row in kept.items():
+                table.setdefault(token, row)
+    finally:
+        _stop(workers)
+    _check_header(path, header, rows, dimension)
     return EmbeddingTable(dimension=dimension, vectors=table)
 
 

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 from click.testing import CliRunner
@@ -352,6 +353,19 @@ class TestDamagedCorpus:
         [line] = proc.stderr.decode().splitlines()
         assert line.startswith(f"error: {manifest}: not a valid manifest")
 
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    def test_manifest_not_utf8(self, cli, corpus, command):
+        manifest = corpus / "manifest.json"
+        data = manifest.read_bytes().replace(b'"title": "A"',
+                                             b'"title": "\xe9"')
+        manifest.write_bytes(data)
+        proc = cli(command, "--corpus", corpus, *self.ARGS[command])
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {manifest}: not valid UTF-8 (byte 0xe9 at offset "
+            f"{data.index(0xe9)})"]
+        assert proc.stdout == b""
+
 
 class TestInputNotUtf8:
     """A requirements text or background document that is not UTF-8 is
@@ -411,22 +425,21 @@ class TestEvalWorkers:
         assert result.stderr.splitlines() == [
             f"error: {vectors}:91: dimension 9 != 8"]
 
-    def test_corpus_error_while_workers_run(self, tmp_path):
+    def test_corpus_error_forks_no_worker(self, tmp_path):
         corpus = tmp_path / "c"
         write_corpus([(1, "A", "caf\u00e9 road"), (2, "B", "traffic")], corpus)
         (corpus / "articles" / "1.txt").write_bytes(b"caf\xe9! road")
         with split_into(2) as pids:
             result = self.eval("--corpus", corpus,
                                *self.TRANSPORT[2:], "--vectors", VECTORS)
-        assert len(pids) == 2
-        assert_reaped(pids)
+        assert pids == []
         assert result.exit_code == 1
         assert "not valid UTF-8" in result.stderr
 
     def test_interrupt_while_workers_run(self, monkeypatch):
         def interrupted(*_args):
             raise KeyboardInterrupt
-        monkeypatch.setattr("wikiharvest.cli.eval_texts", interrupted)
+        monkeypatch.setattr(Connection, "recv", interrupted)
         with split_into(2) as pids:
             result = self.eval(*self.TRANSPORT, "--vectors", VECTORS)
         assert len(pids) == 2
@@ -434,11 +447,18 @@ class TestEvalWorkers:
         assert result.exit_code == 1    # click's "Aborted!"
 
     def test_workers_stop_when_eval_is_killed(self, tmp_path):
-        # eval is SIGKILLed while it tokenizes: nothing reaps its workers,
-        # so they must see the closed pipe and exit by themselves
+        # eval is SIGKILLed while it waits for the replies: nothing reaps
+        # its workers, so they must see the closed pipe and exit by
+        # themselves, also when blocked sending a reply larger than the
+        # pipe buffer (rows of 2,000 components, over 100 KB per range)
+        lines = VECTORS.read_text("utf-8").splitlines()
+        vectors = tmp_path / "wide.txt"
+        vectors.write_text("100 2000\n" + "".join(
+            line + " 0" * 1992 + "\n" for line in lines[1:]))
         pids = tmp_path / "pids"
         code = """if True:
             import os, signal
+            from multiprocessing.connection import Connection
             import wikiharvest.cli as cli, wikiharvest.relatedness as r
             r._FORK_MIN_BYTES = 2
             r._usable_cores = lambda: 2
@@ -448,16 +468,16 @@ class TestEvalWorkers:
                 pids.append(pid)
                 return pid
             os.fork = spy
-            def eval_texts(*args):
+            def killed(conn):
                 with open(os.environ["PIDS_FILE"], "w") as fh:
                     fh.write(" ".join(map(str, pids)))
                 os.kill(os.getpid(), signal.SIGKILL)
-            cli.eval_texts = eval_texts
+            Connection.recv = killed
             cli.main()
         """
         proc = subprocess.run(
             [sys.executable, "-c", code, "eval", *map(str, self.TRANSPORT),
-             "--vectors", VECTORS], stdout=subprocess.DEVNULL,
+             "--vectors", vectors], stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=60,
             env={**os.environ, "PIDS_FILE": str(pids)})
         assert proc.returncode == -signal.SIGKILL
@@ -473,9 +493,11 @@ class TestEvalWorkers:
                 os.kill(pid, signal.SIGKILL)
 
     def test_killed_worker_is_one_error_line(self):
-        # the worker is killed while the corpus is tokenized
+        # the second worker waits to be killed, which happens before the
+        # first reply is received, so it cannot have replied
         code = """if True:
             import os, signal
+            from multiprocessing.connection import Connection
             import wikiharvest.cli as cli, wikiharvest.relatedness as r
             r._FORK_MIN_BYTES = 2
             r._usable_cores = lambda: 2
@@ -485,20 +507,24 @@ class TestEvalWorkers:
                 pids.append(pid)
                 return pid
             os.fork = spy
-            tokenize = cli.eval_texts
-            def eval_texts(*args):
-                os.kill(pids[0], signal.SIGKILL)
-                return tokenize(*args)
-            cli.eval_texts = eval_texts
+            scan, recv = r._scan_range, Connection.recv
+            def second_range_waits(path, start, *args):
+                if start:
+                    signal.pause()
+                return scan(path, start, *args)
+            def kill_then_recv(conn):
+                os.kill(pids[1], signal.SIGKILL)
+                return recv(conn)
+            r._scan_range = second_range_waits
+            Connection.recv = kill_then_recv
             cli.main()
         """
         proc = subprocess.run(
             [sys.executable, "-c", code, "eval", *map(str, self.TRANSPORT),
              "--vectors", VECTORS], capture_output=True, timeout=60)
         assert proc.returncode == 1
-        [line] = proc.stderr.decode().splitlines()
-        assert line.startswith(f"error: {VECTORS}: a vector check worker "
-                               f"stopped")
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {VECTORS}: a vector check worker stopped (exit code -9)"]
 
 
 class TestReportCommand:

@@ -7,6 +7,7 @@ import re
 import signal
 import threading
 import warnings
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -507,15 +508,27 @@ class TestRangeWorkers:
         monkeypatch.setattr(relatedness, "_usable_cores", lambda: 8)
         assert len(relatedness._ranges(path)) == parts
 
-    def test_worker_killed_is_an_error(self, tmp_path):
+    def test_worker_killed_is_an_error(self, tmp_path, monkeypatch):
+        # the second worker waits to be killed, which happens before the
+        # first reply is received, so it cannot have replied
         path = tmp_path / "v.txt"
         path.write_text("\n".join(fixed_width_rows()) + "\n")
+        scan, recv = relatedness._scan_range, Connection.recv
+
+        def second_range_waits(path, start, *args):
+            if start:
+                signal.pause()
+            return scan(path, start, *args)
+
+        def kill_then_recv(conn):
+            os.kill(pids[1], signal.SIGKILL)
+            return recv(conn)
+        monkeypatch.setattr(relatedness, "_scan_range", second_range_waits)
+        monkeypatch.setattr(Connection, "recv", kill_then_recv)
         with split_into(2) as pids:
-            with relatedness.VectorCheck(path) as check:
-                os.kill(pids[1], signal.SIGKILL)
-                with pytest.raises(WikiHarvestError,
-                                   match="worker stopped.*-9"):
-                    load_vectors(check, {"w001"})
+            with pytest.raises(WikiHarvestError, match="worker stopped.*-9"):
+                load_vectors(path, {"w001"})
+        assert len(pids) == 2
         assert_reaped(pids)
 
     def test_fork_warning_about_threads_is_ignored(self, tmp_path):
