@@ -309,6 +309,16 @@ def title_overlap(title: str, keyword: str,
 # client
 
 
+def _well_shaped(item: object) -> bool:
+    """Whether a listed page's fields have the types the client reads;
+    all but a missing page have a title, a page id and a namespace."""
+    return isinstance(item, dict) and (
+        bool(item.get("missing")) or {"title", "pageid", "ns"} <= item.keys()
+    ) and all(type(item[key]) is kind for key, kind in (
+        ("title", str), ("pageid", int), ("ns", int), ("index", int),
+        ("pageprops", dict), ("extract", str)) if key in item)
+
+
 class WikiClient:
     """Typed operations over the MediaWiki Action API."""
 
@@ -317,13 +327,25 @@ class WikiClient:
         self.transport = transport
         self.pipeline = pipeline or default_pipeline()
 
-    def _query_all(self, params: dict[str, str]) -> Iterator[dict]:
-        """Issue a query and follow `continue` tokens until drained."""
+    def _reply(self, params: dict[str, str], key: str) -> tuple[list, dict]:
+        """What the reply to `params` lists under ``query[key]``, and its
+        `continue` object; any other shape raises :class:`ApiError`."""
+        resp = self.transport.get(params)
+        query, cont = resp.get("query") or {}, resp.get("continue") or {}
+        items = (query.get(key) or []) if isinstance(query, dict) else None
+        if (isinstance(items, list) and isinstance(cont, dict)
+                and all(map(_well_shaped, items))):
+            return items, cont
+        url = canonical_url(getattr(self.transport, "endpoint", ""), params)
+        raise ApiError(f"{url}: reply does not list query {key} as expected")
+
+    def _query_all(self, params: dict[str, str], key: str) -> Iterator[dict]:
+        """The pages listed under ``query[key]`` that are not missing,
+        following `continue` tokens until drained."""
         cont: dict[str, str] = {}
         while True:
-            resp = self.transport.get({**params, **cont})
-            yield resp
-            raw = resp.get("continue")
+            items, raw = self._reply({**params, **cont}, key)
+            yield from (item for item in items if not item.get("missing"))
             if not raw:
                 return
             cont = {str(k): str(v) for k, v in raw.items()}
@@ -336,14 +358,13 @@ class WikiClient:
         """
         if not keyword.strip():
             raise ValueError("keyword must be non-empty")
-        resp = self.transport.get({
+        pages, _cont = self._reply({
             **_QUERY, "generator": "search", "gsrsearch": keyword,
             "gsrnamespace": "0", "gsrlimit": str(SEARCH_LIMIT),
-            "prop": "pageprops", "ppprop": "disambiguation"})
-        pages = (resp.get("query") or {}).get("pages") or []
+            "prop": "pageprops", "ppprop": "disambiguation"}, "pages")
         for page in sorted(pages, key=lambda p: p.get("index", 1 << 30)):
-            props = page.get("pageprops") or {}
-            if page.get("missing") or "disambiguation" in props:
+            if page.get("missing") or "disambiguation" in page.get(
+                    "pageprops", {}):
                 continue
             title = page["title"]
             if title_overlap(title, keyword, self.pipeline):
@@ -353,12 +374,10 @@ class WikiClient:
     def list_categories(self, article: ArticleRef) -> list[CategoryRef]:
         """The article's non-hidden categories, sorted by page id."""
         cats: dict[int, CategoryRef] = {}
-        for resp in self._query_all({
+        for page in self._query_all({
                 **_QUERY, "generator": "categories", "gclshow": "!hidden",
-                "gcllimit": "500", "pageids": str(article.page_id)}):
-            for page in (resp.get("query") or {}).get("pages") or []:
-                if page.get("missing") or page.get("ns") != CATEGORY_NAMESPACE:
-                    continue
+                "gcllimit": "500", "pageids": str(article.page_id)}, "pages"):
+            if page["ns"] == CATEGORY_NAMESPACE:
                 cats[page["pageid"]] = CategoryRef(title=page["title"],
                                                    page_id=page["pageid"])
         return sorted(cats.values(), key=lambda c: c.page_id)
@@ -368,25 +387,23 @@ class WikiClient:
         """Direct members split into (article pages, subcategories)."""
         pages: dict[int, ArticleRef] = {}
         subcats: dict[int, CategoryRef] = {}
-        for resp in self._query_all({
+        for member in self._query_all({
                 **_QUERY, "list": "categorymembers", "cmtitle": cat.title,
-                "cmtype": "page|subcat", "cmlimit": "500"}):
-            for member in (resp.get("query") or {}).get("categorymembers") or []:
-                if member["ns"] == ARTICLE_NAMESPACE:
-                    pages[member["pageid"]] = ArticleRef(
-                        title=member["title"], page_id=member["pageid"])
-                elif member["ns"] == CATEGORY_NAMESPACE:
-                    subcats[member["pageid"]] = CategoryRef(
-                        title=member["title"], page_id=member["pageid"])
+                "cmtype": "page|subcat", "cmlimit": "500"}, "categorymembers"):
+            if member["ns"] == ARTICLE_NAMESPACE:
+                pages[member["pageid"]] = ArticleRef(
+                    title=member["title"], page_id=member["pageid"])
+            elif member["ns"] == CATEGORY_NAMESPACE:
+                subcats[member["pageid"]] = CategoryRef(
+                    title=member["title"], page_id=member["pageid"])
         return (sorted(pages.values(), key=lambda r: r.page_id),
                 sorted(subcats.values(), key=lambda c: c.page_id))
 
     def fetch_article_text(self, article: ArticleRef) -> str:
         """Plain-text extract, following redirects; empty string if none."""
-        resp = self.transport.get({
+        pages, _cont = self._reply({
             **_QUERY, "prop": "extracts", "explaintext": "1",
-            "redirects": "1", "pageids": str(article.page_id)})
-        pages = (resp.get("query") or {}).get("pages") or []
+            "redirects": "1", "pageids": str(article.page_id)}, "pages")
         if not pages:
             raise PageMissing(f"page id {article.page_id}: no result")
         page = pages[0]

@@ -36,10 +36,6 @@ def filter_generic(candidates: Mapping[str, int],
             if not contains_lemma(lexicon, phrase)}
 
 
-def smoothed_idf(n_docs: int, doc_freq: int) -> float:
-    return math.log((1 + n_docs) / (1 + doc_freq)) + 1.0
-
-
 def score_tfidf(per_doc_counts: Sequence[Mapping[str, int]],
                 target_index: int = 0) -> list[Keyword]:
     """TF-IDF scores for every phrase of the target document.
@@ -58,7 +54,7 @@ def score_tfidf(per_doc_counts: Sequence[Mapping[str, int]],
     keywords = []
     for phrase, tf in target.items():
         df = sum(1 for counts in per_doc_counts if counts.get(phrase, 0) > 0)
-        idf = smoothed_idf(n_docs, df)
+        idf = math.log((1 + n_docs) / (1 + df)) + 1.0
         keywords.append(Keyword(phrase=phrase, tf=tf, idf=idf, score=tf * idf))
     return keywords
 

@@ -177,16 +177,11 @@ def load_wordnet(directory_path: str | Path) -> WordnetLexicon:
                           source_version=digest.hexdigest()[:12])
 
 
-def _normalize_phrase(phrase: str) -> str:
-    return " ".join(phrase.lower().split())
-
-
 def contains_lemma(lexicon: WordnetLexicon, phrase: str) -> bool:
     """True iff the full phrase is a lemma in any part-of-speech index."""
-    norm = _normalize_phrase(phrase)
-    if not norm:
-        return False
-    return any(norm in lemmas for lemmas in lexicon.entries.values())
+    norm = " ".join(phrase.lower().split())
+    return bool(norm) and any(norm in lemmas
+                              for lemmas in lexicon.entries.values())
 
 
 def morphy(lexicon: WordnetLexicon, surface: str, pos: str) -> Optional[str]:
@@ -196,12 +191,9 @@ def morphy(lexicon: WordnetLexicon, surface: str, pos: str) -> Optional[str]:
     returning the first candidate that exists in the index.
     """
     entries = lexicon.entries.get(pos)
-    if entries is None:
+    form = " ".join(surface.lower().split())
+    if entries is None or not form:
         return None
-    form = _normalize_phrase(surface)
-    if not form:
-        return None
-    rules = DETACHMENT_RULES[pos]
 
     exceptional = lexicon.exceptions.get(pos, {}).get(form)
     if exceptional:
@@ -210,21 +202,14 @@ def morphy(lexicon: WordnetLexicon, surface: str, pos: str) -> Optional[str]:
                 return candidate
         return None
 
-    def apply_rules(forms: list[str]) -> list[str]:
-        return [f[: -len(old)] + new
-                for f in forms
-                for old, new in rules
-                if f.endswith(old)]
-
-    forms = apply_rules([form])
-    for candidate in [form] + forms:
-        if candidate in entries:
-            return candidate
+    forms = [form]
     while forms:
-        forms = apply_rules(forms)
         for candidate in forms:
             if candidate in entries:
                 return candidate
+        forms = [f[:-len(old)] + new
+                 for f in forms for old, new in DETACHMENT_RULES[pos]
+                 if f.endswith(old)]
     return None
 
 

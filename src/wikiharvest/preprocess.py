@@ -5,11 +5,12 @@ the whitespace before each token, and the token.  Combining marks are
 glued onto their words on the stream, and one pass over it finds the
 sentence breaks and gives every token its POS tag, lemma and stopword
 flag; `Pipeline.tagged_lemmas` stops there.  `Pipeline.preprocess` also
-builds each `Token`, its offsets running sums of gap and surface
-lengths, and chunks noun phrases.  Everything is rule-based and
-deterministic: a curated most-frequent-tag lexicon with suffix fallbacks
-does the tagging, and noun phrases are maximal matches of the grammar
-``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``.
+chunks noun phrases from that stream, and builds each `Token` (offsets
+are running sums of gap and surface lengths) only when `sentences` is
+read, which `mine` and `keywords` never do.  Everything is rule-based
+and deterministic: a curated most-frequent-tag lexicon with suffix
+fallbacks does the tagging, and noun phrases are maximal matches of the
+grammar ``DET? (ADJ|NOUN|PROPN|NUM)* (NOUN|PROPN)``.
 
 The bundled word lists (stopwords, abbreviations, tag lexicon) are the
 only configuration; a :class:`Pipeline` adds an optional lemmatizer.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -45,9 +46,6 @@ OTHER = "OTHER"
 COARSE_TAGS = frozenset(
     {NOUN, PROPN, VERB, ADJ, ADV, DET, ADP, PUNCT, NUM, OTHER}
 )
-
-_NP_MODIFIER = frozenset({ADJ, NOUN, PROPN, NUM})
-_NP_HEAD = frozenset({NOUN, PROPN})
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,18 @@ class NounPhrase:
 
 @dataclass(frozen=True)
 class PreprocessedDoc:
-    sentences: tuple[Sentence, ...]
+    """A document's noun phrases, and the NFC text and tagged stream that
+    its `sentences` are built from when they are first read."""
+
     noun_phrases: tuple[NounPhrase, ...]
+    text: str = field(repr=False)
+    tagged: tuple[tuple[str, str, bool], ...] = field(repr=False)
+    opens: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def sentences(self) -> tuple[Sentence, ...]:
+        return tuple(_sentences(self.text, _token_stream(self.text),
+                                self.tagged, self.opens))
 
 
 # ---------------------------------------------------------------------------
@@ -404,43 +412,37 @@ def chunk_noun_phrases(tagged_sentence: Sequence[Token],
     the bundled list before matching.
     """
     stopwords = default_stopwords()
-    return _chunk([Token(t.surface, t.start, t.end, t.pos,
-                         t.lemma or lemmatize(t.surface, t.pos, lemmatizer),
-                         t.surface.lower() in stopwords)
-                   for t in tagged_sentence])
+    return list(_chunk(
+        [t.surface for t in tagged_sentence],
+        [(t.pos, t.lemma or lemmatize(t.surface, t.pos, lemmatizer),
+          t.surface.lower() in stopwords) for t in tagged_sentence]))
 
 
-def _chunk(toks: Sequence[Token]) -> list[NounPhrase]:
-    """Noun phrases of tagged tokens whose lemmas and stopword flags are
-    set.  Only a match's first token can be a determiner, so a phrase's
-    normalized words are the rest, less boundary stopwords: lowercased
-    surfaces, then the last word's lemma."""
-    phrases: list[NounPhrase] = []
-    n = len(toks)
-    i = 0
-    while i < n:
-        j = i + 1 if toks[i].pos == DET else i
-        last_head = -1
-        k = j
-        while k < n and toks[k].pos in _NP_MODIFIER:
-            if toks[k].pos in _NP_HEAD:
-                last_head = k
-            k += 1
-        if last_head < 0:
-            i = max(k, i + 1)
-            continue
-        kept = toks[j:last_head + 1]
-        while kept and kept[0].is_stopword:
-            kept = kept[1:]
-        while kept and kept[-1].is_stopword:
-            kept = kept[:-1]
-        if kept:
-            phrases.append(NounPhrase(
-                surface=" ".join(t.surface for t in toks[i:last_head + 1]),
-                normalized=" ".join([*(t.surface.lower() for t in kept[:-1]),
-                                     kept[-1].lemma])))
-        i = last_head + 1
-    return phrases
+# The chunk grammar over one character per tag: Det, Modifier, Noun head.
+_NP_CODES = {DET: "D", ADJ: "M", NUM: "M", NOUN: "N", PROPN: "N"}
+_NP_RE = re.compile(r"D?[MN]*N")
+
+
+def _chunk(surfaces: Sequence[str], tagged: Sequence[tuple[str, str, bool]],
+           opens: Sequence[int] = ()) -> Iterator[NounPhrase]:
+    """Noun phrases of a tagged stream, within the sentences `opens` starts.
+    A phrase's normalized words are those after a leading determiner, less
+    boundary stopwords: lowercased surfaces, then the last word's lemma."""
+    codes = "".join([_NP_CODES.get(pos, " ") for pos, _lemma, _stop in tagged])
+    for start, end in zip([0, *opens], [*opens, len(codes)]):
+        for match in _NP_RE.finditer(codes, start, end):
+            i, stop = match.span()
+            first = i + (codes[i] == "D")
+            while first < stop and tagged[first][2]:
+                first += 1
+            while first < stop and tagged[stop - 1][2]:
+                stop -= 1
+            if first < stop:
+                yield NounPhrase(
+                    surface=" ".join(surfaces[i:match.end()]),
+                    normalized=" ".join([
+                        *(s.lower() for s in surfaces[first:stop - 1]),
+                        tagged[stop - 1][1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +454,9 @@ class Pipeline:
     """Preprocessor with an optional lemmatizer.
 
     Tokenizes, then splits sentences and tags in one pass (POS tag,
-    lemma, stopword flag), and chunks noun phrases.  Without a lemmatizer
-    a lemma is the lowercased surface.
+    lemma, stopword flag), and chunks noun phrases from that stream; a
+    document's tokens are built when its `sentences` are first read.
+    Without a lemmatizer a lemma is the lowercased surface.
 
     Each pipeline keeps a memo of tagged words outside its equality and
     hash, and clears it when it holds `MEMO_ENTRIES`.  An entry is what
@@ -475,10 +478,9 @@ class Pipeline:
         text = unicodedata.normalize("NFC", text)
         pairs = _token_stream(text)
         tagged, opens = _tag_stream(pairs, self.lemmatizer, self._memo)
-        sentences = tuple(_sentences(text, pairs, tagged, opens))
-        return PreprocessedDoc(sentences=sentences, noun_phrases=tuple(
-            phrase for sentence in sentences
-            for phrase in _chunk(sentence.tokens)))
+        phrases = _chunk([surface for _gap, surface in pairs], tagged, opens)
+        return PreprocessedDoc(tuple(phrases), text, tuple(tagged),
+                               tuple(opens))
 
     def tagged_lemmas(self, text: str) -> list[tuple[str, str, bool]]:
         """``(pos, lemma, is_stopword)`` of every token, in order: what

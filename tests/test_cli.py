@@ -13,7 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import FIXTURES, assert_reaped, split_into
-from wikiharvest.cli import main
+from wikiharvest import preprocess
+from wikiharvest.cli import main, run_mine
 from wikiharvest.corpus import write_corpus
 
 WORDNET = FIXTURES / "wordnet_mini"
@@ -237,6 +238,56 @@ class TestMineCommand:
         assert line == (f"error: {damaged}: cached response for {url} "
                         "is not a JSON object")
         assert url.startswith("https://en.wikipedia.org/w/api.php?")
+
+    @pytest.mark.parametrize("request_kind, damage", [
+        ("list=categorymembers",
+         lambda body: body["query"]["categorymembers"][0].pop("ns")),
+        ("generator=categories",
+         lambda body: body.update({"continue": ["gclcontinue"]})),
+        ("prop=extracts",
+         lambda body: body["query"]["pages"][0].update(extract=5)),
+        ("generator=search", lambda body: body.update(query=["pages"])),
+    ])
+    def test_cached_reply_of_wrong_shape_one_line_error(
+            self, cli, railway_mined, tmp_path, request_kind, damage):
+        cache = tmp_path / "cache"
+        shutil.copytree(railway_mined.cache, cache)
+        log = cache / "responses.jsonl"
+        records = log.read_bytes().split(b"\n")
+        k = next(i for i, record in enumerate(records)
+                 if request_kind.encode() in record.split(b"\t")[0])
+        url, body = records[k].decode().split("\t")
+        body = json.loads(body)
+        damage(body)
+        records[k] = f"{url}\t{json.dumps(body)}".encode()
+        log.write_bytes(b"\n".join(records))
+        proc = cli("mine", "--input", RAILWAY_RS, "--out", tmp_path / "o",
+                   "--wordnet", WORDNET, "--offline", "--cache", cache)
+        assert proc.returncode == 1
+        stderr = proc.stderr.decode()
+        assert "Traceback" not in stderr
+        [line] = [ln for ln in stderr.splitlines() if ln.startswith("error:")]
+        assert line.startswith(f"error: {url}: reply does not list query ")
+
+    def test_mine_builds_no_token(self, railway_mined, tmp_path, monkeypatch):
+        """`mine` reads only the noun phrases of the RS and backgrounds:
+        it builds no Token or Sentence, and writes the same tree."""
+        def mine(out):
+            run_mine(RAILWAY_RS, out, WORDNET, offline=True,
+                     cache_dir=railway_mined.cache,
+                     background_paths=[FIXTURES / "railway_test_rs.txt"],
+                     echo=lambda *args, **kwargs: None)
+            return {path.relative_to(out): path.read_bytes()
+                    for path in out.rglob("*") if path.is_file()}
+
+        def no_tokens(*args, **kwargs):
+            raise AssertionError("a Token was built")
+
+        expected = mine(tmp_path / "plain")
+        monkeypatch.setattr(preprocess, "_sentences", no_tokens)
+        monkeypatch.setattr(preprocess, "Token", no_tokens)
+        assert mine(tmp_path / "patched") == expected
+        assert len(expected) == 688
 
     def test_endpoint_changes_cache_identity(self, cli, railway_mined,
                                              tmp_path):

@@ -677,6 +677,79 @@ class TestClient:
         assert "rail" in text.lower().split()
 
 
+class StubTransport:
+    """Gives one reply to every request."""
+    endpoint = ENDPOINT
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def get(self, params):
+        return self.reply
+
+
+def page(**fields):
+    return {"pageid": 1, "ns": 0, "title": "Rail transport", **fields}
+
+
+class TestReplyShapes:
+    """A reply the client cannot read is an ApiError naming its URL."""
+
+    CALLS = {
+        "search": lambda client: client.search_article("rail transport"),
+        "categories": lambda client: client.list_categories(
+            ArticleRef("Rail transport", 1)),
+        "members": lambda client: client.list_category_members(
+            CategoryRef("Category:Rail transport", 900)),
+        "extract": lambda client: client.fetch_article_text(
+            ArticleRef("Rail transport", 1)),
+    }
+
+    @pytest.mark.parametrize("call, reply", [
+        ("search", {"query": ["pages"]}),
+        ("search", {"query": {"pages": {"0": page()}}}),
+        ("search", {"query": {"pages": [{"pageid": 1, "ns": 0}]}}),
+        ("search", {"query": {"pages": [page(pageid="1")]}}),
+        ("search", {"query": {"pages": [page(index="1")]}}),
+        ("search", {"query": {"pages": [page(pageprops=["x"])]}}),
+        ("categories", {"query": {"pages": [page(ns=14)]},
+                        "continue": ["gclcontinue"]}),
+        ("categories", {"query": {"pages": [5]}}),
+        ("categories", {"query": {"pages": [page(ns="14")]}}),
+        ("members", {"query": {"categorymembers": [{"pageid": 1,
+                                                    "title": "T"}]}}),
+        ("members", {"query": {"categorymembers": [page(pageid=True)]}}),
+        ("members", {"query": {"categorymembers": [page(title=None)]}}),
+        ("extract", {"query": {"pages": [page(extract=5)]}}),
+        ("extract", {"query": "pages"}),
+    ])
+    def test_wrong_shape_is_api_error(self, call, reply):
+        client = WikiClient(StubTransport(reply))
+        with pytest.raises(ApiError, match="reply does not list query") as exc:
+            self.CALLS[call](client)
+        assert str(exc.value).startswith(ENDPOINT + "?action=query&")
+
+    @pytest.mark.parametrize("call, reply, want", [
+        ("search", {"batchcomplete": True}, None),
+        ("search", {"query": {"pages": [{"pageid": 1, "missing": True}]}},
+         None),
+        ("categories", {"query": {"pages": [{"title": "X", "missing": True},
+                                            page(ns=14)]}},
+         [CategoryRef("Rail transport", 1)]),
+        ("members", {"query": {"categorymembers": []}}, ([], [])),
+        ("extract", {"query": {"pages": [page()]}}, ""),
+    ])
+    def test_readable_shapes(self, call, reply, want):
+        assert self.CALLS[call](WikiClient(StubTransport(reply))) == want
+
+    def test_fake_wiki_as_transport(self):
+        wiki = small_wiki()
+        wiki.articles[2]["title"] = 7       # a graph file's bad title
+        with pytest.raises(ApiError, match=r"^\?action=query&"):
+            client_for(wiki).list_category_members(
+                CategoryRef("Category:Rail transport", 900))
+
+
 class TestExpand:
     def seeds_of(self, wiki, ids):
         return [ArticleRef(wiki.articles[i]["title"], i) for i in ids]

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from wikiharvest import preprocess
 from wikiharvest.lexicon import make_lemmatizer
-from wikiharvest.preprocess import (ADJ, ADV, DET, NOUN, PROPN, PUNCT, VERB,
-                                    COARSE_TAGS, InvalidEncoding, Pipeline,
-                                    Token, chunk_noun_phrases, content_tokens,
-                                    default_pipeline, default_stopwords,
-                                    lemmatize, pos_tag, split_sentences,
-                                    tokenize)
+from wikiharvest.preprocess import (ADJ, ADV, DET, NOUN, NUM, PROPN, PUNCT,
+                                    VERB, COARSE_TAGS, InvalidEncoding,
+                                    NounPhrase, Pipeline, Token,
+                                    chunk_noun_phrases, content_tokens,
+                                    default_abbreviations, default_pipeline,
+                                    default_stopwords, lemmatize, pos_tag,
+                                    split_sentences, tokenize)
 
 
 def surfaces(tokens):
@@ -55,6 +56,19 @@ generated_texts = st.lists(
     max_size=40).map(lambda parts: "".join(p + sep for p, sep in parts))
 
 
+# Pieces for the chunker property: the words above, every listed
+# abbreviation, non-ASCII letters and combining marks NFC cannot compose
+# (a lone mark, or one after a word or a digit).
+CHUNK_PIECES = PIECES + sorted(default_abbreviations()) + [
+    "\u0307", "\u094d", "\u05b8", "\u064e", "q\u0307uark", "שָׁלוֹם"]
+chunk_texts = st.lists(
+    st.tuples(st.one_of(st.sampled_from(CHUNK_PIECES),
+                        st.text(alphabet="aBé\u0301ßЖक\u094d.,?3 ",
+                                min_size=1, max_size=5)),
+              st.sampled_from([" ", "", "\n\n", " \n\t\n ", ".  ", "\n"])),
+    max_size=50).map(lambda parts: "".join(p + sep for p, sep in parts))
+
+
 def reference_sentences(text, pipeline):
     """Tokens built by the public stage functions, one sentence at a time."""
     text = unicodedata.normalize("NFC", text)
@@ -65,6 +79,37 @@ def reference_sentences(text, pipeline):
             for sent in split_sentences(text)]
 
 
+def reference_chunk(tokens):
+    """The chunk grammar as a loop over tagged tokens whose lemmas and
+    stopword flags are set: at each token, a determiner if there is one,
+    then the longest run of modifiers, cut after its last head.  The
+    normalized words leave out the determiner and boundary stopwords and
+    end in the head's lemma."""
+    phrases, i, n = [], 0, len(tokens)
+    while i < n:
+        j = i + 1 if tokens[i].pos == DET else i
+        k, last_head = j, -1
+        while k < n and tokens[k].pos in (ADJ, NUM, NOUN, PROPN):
+            if tokens[k].pos in (NOUN, PROPN):
+                last_head = k
+            k += 1
+        if last_head < 0:
+            i = max(k, i + 1)
+            continue
+        kept = tokens[j:last_head + 1]
+        while kept and kept[0].is_stopword:
+            kept = kept[1:]
+        while kept and kept[-1].is_stopword:
+            kept = kept[:-1]
+        if kept:
+            phrases.append(NounPhrase(
+                " ".join(t.surface for t in tokens[i:last_head + 1]),
+                " ".join([*(t.surface.lower() for t in kept[:-1]),
+                          kept[-1].lemma])))
+        i = last_head + 1
+    return phrases
+
+
 def check_single_pass(text, pipeline):
     doc = pipeline.preprocess(text)
     expected = reference_sentences(text, pipeline)
@@ -72,6 +117,8 @@ def check_single_pass(text, pipeline):
     assert list(doc.noun_phrases) == [
         np for sent in expected
         for np in chunk_noun_phrases(sent, pipeline.lemmatizer)]
+    assert list(doc.noun_phrases) == [
+        np for sent in expected for np in reference_chunk(sent)]
     assert list(pipeline.tagged_lemmas(text)) == [
         (t.pos, t.lemma, t.is_stopword)
         for s in doc.sentences for t in s.tokens]
@@ -285,6 +332,12 @@ class TestChunker:
         nps = chunk_noun_phrases(toks, None)
         assert [np.normalized for np in nps] == ["trains"]
 
+    def test_stopwords_stripped_at_both_ends(self):
+        # "other" and "further" are stopwords the tagger takes for nouns
+        doc = Pipeline().preprocess("The other brake further. Stop.")
+        assert [(np.surface, np.normalized) for np in doc.noun_phrases] == \
+            [("The other brake further", "brake")]
+
     def test_given_lemma_is_kept(self):
         toks = [Token("lunar", 0, 5, pos=ADJ),
                 Token("Rovers", 6, 12, pos=NOUN, lemma="rover")]
@@ -340,6 +393,22 @@ class TestPipeline:
                 assert word in surface_words
         assert doc.noun_phrases
 
+    def test_sentences_built_when_first_read(self, wn_pipeline, monkeypatch):
+        text = "The lunar rover stops. Its brake is applied."
+        want = wn_pipeline.preprocess(text)
+
+        def no_sentences(*args):
+            raise AssertionError("sentences built")
+
+        monkeypatch.setattr(preprocess, "_sentences", no_sentences)
+        doc = wn_pipeline.preprocess(text)
+        assert doc.noun_phrases == want.noun_phrases and doc == want
+        with pytest.raises(AssertionError, match="sentences built"):
+            doc.sentences
+        monkeypatch.undo()
+        assert doc.sentences == want.sentences
+        assert doc.sentences is doc.sentences
+
     def test_default_pipeline_function(self):
         doc = default_pipeline().preprocess("A train passes.")
         assert len(doc.sentences) == 1
@@ -362,6 +431,40 @@ class TestSinglePass:
     def test_without_lemmatizer(self):
         for text in fixture_texts()[:20]:
             check_single_pass(text, Pipeline())
+
+    @given(chunk_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_stream_chunker_matches_reference_chain(self, wn_pipeline, text):
+        """`preprocess` chunks the tagged stream without tokens; its noun
+        phrases are `chunk_noun_phrases`' and the loop chunker's over each
+        of its sentences, and those are the tokenize, split_sentences,
+        pos_tag chain's."""
+        lemmatizer = wn_pipeline.lemmatizer
+        doc = Pipeline(lemmatizer).preprocess(text)
+        nfc = unicodedata.normalize("NFC", text)
+        sentences = split_sentences(nfc)
+        assert [t for s in sentences for t in s.tokens] == tokenize(nfc)
+        chain = [pos_tag(sentence.tokens) for sentence in sentences]
+        assert [[t.surface for t in s] for s in chain] == \
+            [[t.surface for t in s.tokens] for s in doc.sentences]
+        assert [[(t.start, t.end, t.pos) for t in s] for s in chain] == \
+            [[(t.start, t.end, t.pos) for t in s.tokens]
+             for s in doc.sentences]
+        assert [[(t.lemma, t.is_stopword) for t in s.tokens]
+                for s in doc.sentences] == \
+            [[(lemmatize(t.surface, t.pos, lemmatizer),
+               t.surface.lower() in default_stopwords()) for t in s]
+             for s in chain]
+        phrases = [(np.surface, np.normalized) for np in doc.noun_phrases]
+        assert phrases == [
+            (np.surface, np.normalized) for sentence in doc.sentences
+            for np in chunk_noun_phrases(sentence.tokens, lemmatizer)]
+        assert phrases == [
+            (np.surface, np.normalized) for sentence in chain
+            for np in chunk_noun_phrases(sentence, lemmatizer)]
+        assert phrases == [
+            (np.surface, np.normalized) for sentence in doc.sentences
+            for np in reference_chunk(sentence.tokens)]
 
 
 class TestTagMemo:
