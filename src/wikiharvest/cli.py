@@ -145,8 +145,6 @@ def run_mine(input_rs: Path,
         depth=depth,
         wordnet_version=lexicon.source_version,
     )
-    (out_dir / "keywords.tsv").write_text(keywords_to_tsv(kws),
-                                          encoding="utf-8")
     echo(f"# corpus: {out_dir}")
     return manifest
 

@@ -1,9 +1,13 @@
 """Corpus persistence and term-frequency reporting.
 
-A corpus directory holds one UTF-8 text file per article under
-``articles/<page_id>.txt`` plus a ``manifest.json`` recording how the
-corpus was produced.  Articles are keyed by page id, never by title, so
-filesystem-hostile titles stay out of paths.
+`write_corpus` writes this tree::
+
+    <out>/articles/<page_id>.txt   one UTF-8 text per article
+    <out>/keywords.tsv             the keywords queried (`keywords_to_tsv`)
+    <out>/manifest.json            how the corpus was produced
+
+Articles are keyed by page id, never by title, so filesystem-hostile
+titles stay out of paths.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .errors import InvalidEncoding, WikiHarvestError, decode_utf8
-from .keywords import Keyword
+from .keywords import Keyword, keywords_to_tsv
 from .preprocess import NUM, PUNCT, Pipeline, default_pipeline
 
 
@@ -115,11 +119,13 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
                  keywords: Sequence[Keyword] = (),
                  depth: int = 0,
                  wordnet_version: str = "") -> CorpusManifest:
-    """Write article texts and a manifest under `out_dir`.
+    """Write article texts, the keyword table and a manifest under
+    `out_dir`.
 
     `articles_with_text` yields (page_id, title, text) triples.  The
-    manifest is written atomically (temp file, then rename), so a
-    half-written directory never carries a valid manifest; article files
+    keyword table and then the manifest are written atomically (temp
+    file, then rename); the manifest's rename commits the tree, so a
+    half-written directory never carries a valid manifest.  Article files
     it does not list, left by an earlier run, are then removed.
     """
     out = Path(out_dir)
@@ -152,6 +158,7 @@ def write_corpus(articles_with_text: Iterable[tuple[int, str, str]],
         tool_version=__version__,
         wordnet_version=wordnet_version,
     )
+    write_text_atomic(out / "keywords.tsv", keywords_to_tsv(keywords))
     write_text_atomic(out / MANIFEST_NAME, manifest.to_json())
     listed = {Path(entry["relative_path"]).name for entry in entries}
     for path in articles_dir.iterdir():

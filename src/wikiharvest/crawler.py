@@ -24,7 +24,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence, TypeVar)
 from urllib.parse import urlencode
 
 from . import __version__
@@ -83,6 +84,17 @@ class CategoryRef:
 class CrawlResult:
     articles: tuple[ArticleRef, ...]
     frontier_truncated: bool
+
+
+Ref = TypeVar("Ref", ArticleRef, CategoryRef)
+
+
+def _by_page_id(refs: Iterable[Ref]) -> list[Ref]:
+    """The first ref of each page id, in page-id order."""
+    first: dict[int, Ref] = {}
+    for ref in refs:
+        first.setdefault(ref.page_id, ref)
+    return sorted(first.values(), key=lambda r: r.page_id)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +339,9 @@ class WikiClient:
         self.transport = transport
         self.pipeline = pipeline or default_pipeline()
 
+    def _url(self, params: Mapping[str, str]) -> str:
+        return canonical_url(getattr(self.transport, "endpoint", ""), params)
+
     def _reply(self, params: dict[str, str], key: str) -> tuple[list, dict]:
         """What the reply to `params` lists under ``query[key]``, and its
         `continue` object; any other shape raises :class:`ApiError`."""
@@ -336,19 +351,24 @@ class WikiClient:
         if (isinstance(items, list) and isinstance(cont, dict)
                 and all(map(_well_shaped, items))):
             return items, cont
-        url = canonical_url(getattr(self.transport, "endpoint", ""), params)
-        raise ApiError(f"{url}: reply does not list query {key} as expected")
+        raise ApiError(f"{self._url(params)}: reply does not list query "
+                       f"{key} as expected")
 
     def _query_all(self, params: dict[str, str], key: str) -> Iterator[dict]:
         """The pages listed under ``query[key]`` that are not missing,
-        following `continue` tokens until drained."""
-        cont: dict[str, str] = {}
+        following `continue` tokens until drained.  A `continue` back to
+        a request this listing already sent raises :class:`ApiError`."""
+        request, sent = params, []
         while True:
-            items, raw = self._reply({**params, **cont}, key)
+            items, raw = self._reply(request, key)
             yield from (item for item in items if not item.get("missing"))
             if not raw:
                 return
-            cont = {str(k): str(v) for k, v in raw.items()}
+            sent.append(request)
+            request = {**params, **{str(k): str(v) for k, v in raw.items()}}
+            if request in sent:
+                raise ApiError(f"{self._url(sent[-1])}: reply continues to "
+                               "a request already sent")
 
     def search_article(self, keyword: str) -> Optional[ArticleRef]:
         """Best full-text match whose title overlaps the keyword.
@@ -373,43 +393,33 @@ class WikiClient:
 
     def list_categories(self, article: ArticleRef) -> list[CategoryRef]:
         """The article's non-hidden categories, sorted by page id."""
-        cats: dict[int, CategoryRef] = {}
-        for page in self._query_all({
+        return _by_page_id(
+            CategoryRef(title=page["title"], page_id=page["pageid"])
+            for page in self._query_all({
                 **_QUERY, "generator": "categories", "gclshow": "!hidden",
-                "gcllimit": "500", "pageids": str(article.page_id)}, "pages"):
-            if page["ns"] == CATEGORY_NAMESPACE:
-                cats[page["pageid"]] = CategoryRef(title=page["title"],
-                                                   page_id=page["pageid"])
-        return sorted(cats.values(), key=lambda c: c.page_id)
+                "gcllimit": "500", "pageids": str(article.page_id)}, "pages")
+            if page["ns"] == CATEGORY_NAMESPACE)
 
     def list_category_members(self, cat: CategoryRef,
                               ) -> tuple[list[ArticleRef], list[CategoryRef]]:
-        """Direct members split into (article pages, subcategories)."""
-        pages: dict[int, ArticleRef] = {}
-        subcats: dict[int, CategoryRef] = {}
-        for member in self._query_all({
-                **_QUERY, "list": "categorymembers", "cmtitle": cat.title,
-                "cmtype": "page|subcat", "cmlimit": "500"}, "categorymembers"):
-            if member["ns"] == ARTICLE_NAMESPACE:
-                pages[member["pageid"]] = ArticleRef(
-                    title=member["title"], page_id=member["pageid"])
-            elif member["ns"] == CATEGORY_NAMESPACE:
-                subcats[member["pageid"]] = CategoryRef(
-                    title=member["title"], page_id=member["pageid"])
-        return (sorted(pages.values(), key=lambda r: r.page_id),
-                sorted(subcats.values(), key=lambda c: c.page_id))
+        """Direct members split into (article pages, subcategories), each
+        sorted by page id."""
+        members = list(self._query_all({
+            **_QUERY, "list": "categorymembers", "cmtitle": cat.title,
+            "cmtype": "page|subcat", "cmlimit": "500"}, "categorymembers"))
+        return (_by_page_id(ArticleRef(title=m["title"], page_id=m["pageid"])
+                            for m in members if m["ns"] == ARTICLE_NAMESPACE),
+                _by_page_id(CategoryRef(title=m["title"], page_id=m["pageid"])
+                            for m in members if m["ns"] == CATEGORY_NAMESPACE))
 
     def fetch_article_text(self, article: ArticleRef) -> str:
         """Plain-text extract, following redirects; empty string if none."""
         pages, _cont = self._reply({
             **_QUERY, "prop": "extracts", "explaintext": "1",
             "redirects": "1", "pageids": str(article.page_id)}, "pages")
-        if not pages:
-            raise PageMissing(f"page id {article.page_id}: no result")
-        page = pages[0]
-        if page.get("missing"):
+        if not pages or pages[0].get("missing"):
             raise PageMissing(f"page id {article.page_id} does not exist")
-        return page.get("extract") or ""
+        return pages[0].get("extract") or ""
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +439,7 @@ def search_keywords(client: WikiClient, keywords: Sequence[str],
 
 def dedupe_seeds(matches: Sequence[tuple[str, Optional[ArticleRef]]],
                  ) -> list[ArticleRef]:
-    seeds: dict[int, ArticleRef] = {}
-    for _kw, ref in matches:
-        if ref is not None:
-            seeds.setdefault(ref.page_id, ref)
-    return sorted(seeds.values(), key=lambda r: r.page_id)
+    return _by_page_id(ref for _kw, ref in matches if ref is not None)
 
 
 def expand(client: WikiClient, seeds: Sequence[ArticleRef], *,
@@ -460,37 +466,29 @@ def expand(client: WikiClient, seeds: Sequence[ArticleRef], *,
             articles[ref.page_id] = ref
         return True
 
-    ordered_seeds = sorted({s.page_id: s for s in seeds}.values(),
-                           key=lambda r: r.page_id)
-    room_left = add_pages(ordered_seeds)
+    seeds = _by_page_id(seeds)
+    room_left = add_pages(seeds)
 
-    if depth >= 1 and room_left and ordered_seeds:
+    if depth >= 1 and room_left and seeds:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            frontier: dict[int, CategoryRef] = {}
-            for cats in pool.map(client.list_categories, ordered_seeds):
-                for cat in cats:
-                    frontier.setdefault(cat.page_id, cat)
-            visited: set[int] = set(frontier)
-            level = sorted(frontier.values(), key=lambda c: c.page_id)
+            level = _by_page_id(cat for cats in pool.map(
+                client.list_categories, seeds) for cat in cats)
+            visited = {cat.page_id for cat in level}
 
             for hop in range(depth):
                 if not level or truncated:
                     break
                 log.info("expanding %d categories at hop %d", len(level), hop)
                 member_lists = list(pool.map(client.list_category_members, level))
-                next_level: dict[int, CategoryRef] = {}
-                for (pages, subcats) in member_lists:
+                for pages, _subcats in member_lists:
                     if not add_pages(pages):
                         break
-                    if hop + 1 < depth:
-                        for sc in subcats:
-                            if sc.page_id not in visited:
-                                next_level.setdefault(sc.page_id, sc)
-                visited.update(next_level)
-                level = sorted(next_level.values(), key=lambda c: c.page_id)
+                level = _by_page_id(sc for _pages, subcats in member_lists
+                                    for sc in subcats if sc.page_id not in visited)
+                visited.update(sc.page_id for sc in level)
 
-    result = tuple(sorted(articles.values(), key=lambda r: r.page_id))
-    return CrawlResult(articles=result, frontier_truncated=truncated)
+    return CrawlResult(articles=tuple(_by_page_id(articles.values())),
+                       frontier_truncated=truncated)
 
 
 def fetch_all_texts(client: WikiClient, articles: Sequence[ArticleRef],

@@ -157,29 +157,6 @@ def _header(row: _Row) -> tuple[int, int] | None:
     return None
 
 
-def _scan(path: Path, lines: Iterable[str], lineno: int, dimension: int,
-          words: Container[str]) -> _Reply:
-    """Check every row of `lines`, the first being line `lineno` of
-    `path`, `_CHUNK_ROWS` at a time.  Returns the header, the number of
-    rows, their dimension (the first row's, when `dimension` is 0) and a
-    copy of the first row of each of `words`: a view would keep the whole
-    block alive."""
-    rows = _rows(lines, lineno)
-    first = next(rows, None)
-    header = first and _header(first)
-    if first and not header:
-        rows = chain([first], rows)
-    count, kept = 0, {}
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        block = _parse_chunk(path, chunk, dimension)
-        dimension = block.shape[1]
-        for (_, token, _, _), row in zip(chunk, block):
-            if token in words and token not in kept:
-                kept[token] = row.copy()
-        count += len(chunk)
-    return header, count, dimension, kept
-
-
 def _check_header(path: Path, header: tuple[int, int] | None, rows: int,
                   dimension: int) -> None:
     """A header must give the number of rows and, if there are any,
@@ -211,46 +188,47 @@ class _ByteRange(io.RawIOBase):
         super().close()
 
 
-def _range_lines(path: Path, start: int, stop: int) -> io.TextIOWrapper:
-    """The lines of bytes [start, stop) of `path`, read like the file."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)),
-                            encoding="utf-8", errors="surrogateescape")
-
-
-def _scan_range(path: Path, start: int, stop: int, dimension: int,
-                words: Container[str]) -> _Reply:
-    """`_scan` bytes [start, stop) of `path`, which start a line.
+def _scan(path: Path, start: int, stop: int, dimension: int,
+          words: Container[str]) -> _Reply:
+    """Check every row of bytes [start, stop) of `path`, which start a
+    line, `_CHUNK_ROWS` at a time.  Returns the header, the number of
+    rows, their dimension (the first row's, when `dimension` is 0) and a
+    copy of the first row of each of `words`: a view would keep the whole
+    block alive.
 
     A range after the first is numbered from line 2, the lowest its first
-    line can have, so none of its lines is taken for the header.  Only an
-    error needs the true numbers: the lines before the range are then
-    counted and the range is checked again, which raises the same error
-    at its line in the file.
+    line can have, so none of its lines is taken for the header; an error
+    there names its line within the range, not in the file.
     """
-    with _range_lines(path, start, stop) as lines:
-        try:
-            return _scan(path, lines, 2 if start else 1, dimension, words)
-        except WikiHarvestError:
-            if not start:
-                raise
-            with _range_lines(path, 0, start) as before:
-                first = 1 + sum(1 for _ in before)
-            with _range_lines(path, start, stop) as again:
-                _scan(path, again, first, dimension, ())
-            raise
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)),
+                          encoding="utf-8", errors="surrogateescape") as lines:
+        rows = _rows(lines, 2 if start else 1)
+        first = next(rows, None)
+        header = first and _header(first)
+        if first and not header:
+            rows = chain([first], rows)
+        count, kept = 0, {}
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            block = _parse_chunk(path, chunk, dimension)
+            dimension = block.shape[1]
+            for (_, token, _, _), row in zip(chunk, block):
+                if token in words and token not in kept:
+                    kept[token] = row.copy()
+            count += len(chunk)
+    return header, count, dimension, kept
 
 
 def _check_range(conn: Connection, parent_ends: list[Connection],
                  path: Path, start: int, stop: int, dimension: int,
                  words: Container[str]) -> None:
     """Forked worker: check bytes [start, stop) of `path` and reply with
-    the range's `_Reply`, or with its first error; stops when the parent
-    is gone."""
+    the range's `_Reply`, or with its first error (see `_scan`); stops
+    when the parent is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops it
     for end in parent_ends:     # so a dead parent's pipes read as closed
         end.close()
     try:
-        reply = _scan_range(path, start, stop, dimension, words)
+        reply = _scan(path, start, stop, dimension, words)
     except (WikiHarvestError, OSError) as exc:
         reply = exc
     with suppress(OSError):
@@ -359,7 +337,9 @@ def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
     starts into byte ranges (see `_ranges`), each checked by a forked
     worker; any other file is one range, checked in the caller.  The
     ranges' replies are merged in file order, and only the rows of
-    `words` are kept.
+    `words` are kept.  A worker's error names a line of its range, so
+    then every worker is stopped and the file is checked again as one
+    range in the caller, which raises the first error in file order.
     """
     path = Path(path)
     workers: list[tuple[BaseProcess, Connection]] = []
@@ -369,13 +349,18 @@ def load_vectors(path: str | Path, words: Container[str]) -> EmbeddingTable:
         except OSError:     # the file, or fork, fails: check in-process
             _stop(workers)
         replies = (_reply(path, *worker) for worker in workers) if workers \
-            else [_scan_range(path, 0, path.stat().st_size, 0, words)]
+            else [_scan(path, 0, path.stat().st_size, 0, words)]
         header, rows, dimension, table = None, 0, 0, {}
         for range_header, range_rows, dimension, kept in replies:
             header = header or range_header     # only line 1 can be one
             rows += range_rows
             for token, row in kept.items():
                 table.setdefault(token, row)
+    except (MalformedVectorLine, InconsistentDimension):
+        if workers:
+            _stop(workers)
+            _scan(path, 0, path.stat().st_size, 0, ())
+        raise
     finally:
         _stop(workers)
     _check_header(path, header, rows, dimension)

@@ -269,6 +269,52 @@ class TestMineCommand:
         [line] = [ln for ln in stderr.splitlines() if ln.startswith("error:")]
         assert line.startswith(f"error: {url}: reply does not list query ")
 
+    def test_cached_continue_to_itself_one_line_error(self, railway_mined,
+                                                      tmp_path):
+        # the reply's `continue` names the request it answers: a listing
+        # that followed it would never end
+        cache = tmp_path / "cache"
+        shutil.copytree(railway_mined.cache, cache)
+        log = cache / "responses.jsonl"
+        records = log.read_bytes().split(b"\n")
+        k = next(i for i, record in enumerate(records)
+                 if b"list=categorymembers" in record.split(b"\t")[0])
+        url, body = records[k].decode().split("\t")
+        body = {**json.loads(body), "continue": {"cmlimit": "500"}}
+        records[k] = f"{url}\t{json.dumps(body)}".encode()
+        log.write_bytes(b"\n".join(records))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wikiharvest.cli", "mine", "--input",
+             RAILWAY_RS, "--out", tmp_path / "o", "--wordnet", WORDNET,
+             "--offline", "--cache", cache], capture_output=True, timeout=60)
+        assert proc.returncode == 1
+        stderr = proc.stderr.decode()
+        assert "Traceback" not in stderr
+        assert [ln for ln in stderr.splitlines() if ln.startswith("error:")] \
+            == [f"error: {url}: reply continues to a request already sent"]
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_unwritable_keyword_table_commits_no_manifest(
+            self, cli, railway_mined, tmp_path, earlier):
+        out = tmp_path / "o"
+        if earlier:     # a re-mine keeps the earlier manifest
+            shutil.copytree(railway_mined.corpus, out)
+            (out / "keywords.tsv").unlink()
+            manifest = (out / "manifest.json").read_bytes()
+        (out / "keywords.tsv").mkdir(parents=True)
+        proc = cli("mine", "--input", RAILWAY_RS, "--out", out,
+                   "--wordnet", WORDNET, "--offline",
+                   "--cache", railway_mined.cache,
+                   env_extra={"SOURCE_DATE_EPOCH": "1800000000"})
+        assert proc.returncode == 1
+        [line] = [ln for ln in proc.stderr.decode().splitlines()
+                  if ln.startswith("error:")]
+        assert "keywords.tsv" in line
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["articles", "keywords.tsv"] + ["manifest.json"] * earlier
+        if earlier:
+            assert (out / "manifest.json").read_bytes() == manifest
+
     def test_mine_builds_no_token(self, railway_mined, tmp_path, monkeypatch):
         """`mine` reads only the noun phrases of the RS and backgrounds:
         it builds no Token or Sentence, and writes the same tree."""
@@ -558,7 +604,7 @@ class TestEvalWorkers:
                 pids.append(pid)
                 return pid
             os.fork = spy
-            scan, recv = r._scan_range, Connection.recv
+            scan, recv = r._scan, Connection.recv
             def second_range_waits(path, start, *args):
                 if start:
                     signal.pause()
@@ -566,7 +612,7 @@ class TestEvalWorkers:
             def kill_then_recv(conn):
                 os.kill(pids[1], signal.SIGKILL)
                 return recv(conn)
-            r._scan_range = second_range_waits
+            r._scan = second_range_waits
             Connection.recv = kill_then_recv
             cli.main()
         """

@@ -103,7 +103,8 @@ class TestWriteCorpus:
         finally:
             os.umask(old)
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert len(files) == 1 + len(SAMPLE) + 1
+        assert len(files) == 2 + len(SAMPLE) + 1
+        assert tmp_path / "c" / "keywords.tsv" in files
         assert tmp_path / "cache" / "responses.jsonl" in files
         assert not [p for p in files if p.name.endswith(".tmp")]
         assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}

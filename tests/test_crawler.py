@@ -6,11 +6,14 @@ import hashlib
 import json
 import multiprocessing
 import random
+import socket
 import sys
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -570,6 +573,94 @@ class TestTransport:
         assert min(gaps) >= 0.9 * delay_ms / 1000
 
 
+@pytest.fixture
+def http_server(monkeypatch):
+    """An HTTP server on 127.0.0.1 on a thread.  It answers each request
+    with the next of its `replies`, (status, body) pairs, and records the
+    path and User-Agent of each request in `seen`."""
+    replies, seen = [], []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            seen.append((self.path, self.headers["User-Agent"]))
+            status, body = replies.pop(0)
+            data = body.encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield SimpleNamespace(
+            endpoint=f"http://127.0.0.1:{server.server_port}/w/api.php",
+            replies=replies, seen=seen)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestLiveFetcher:
+    """The default fetcher, which sends real HTTP requests."""
+    USER_AGENT = "wikiharvest-test/1 (ops@example.org)"
+
+    def transport(self, endpoint, cache_dir):
+        return CachedTransport(endpoint, cache_dir=cache_dir,
+                               user_agent=self.USER_AGENT, request_delay_ms=0)
+
+    def test_json_object_returned_and_logged(self, http_server, sleeps,
+                                             tmp_path):
+        http_server.replies.append((200, '{"query": {"pages": []}}'))
+        transport = self.transport(http_server.endpoint, tmp_path)
+        assert transport.get(EXTRACT_1) == {"query": {"pages": []}}
+        url = canonical_url(http_server.endpoint, EXTRACT_1)
+        assert http_server.seen == [(url[url.index("/w/"):], self.USER_AGENT)]
+        assert log_urls(tmp_path) == [url]
+        assert transport.network_requests == 1
+        assert sleeps == []
+
+    def test_not_found_is_api_error_and_not_logged(self, http_server,
+                                                   sleeps, tmp_path):
+        http_server.replies.append((404, "not here"))
+        transport = self.transport(http_server.endpoint, tmp_path)
+        with pytest.raises(ApiError, match="unexpected HTTP status 404"):
+            transport.get(EXTRACT_1)
+        assert not (tmp_path / LOG_NAME).exists()
+        assert len(http_server.seen) == 1
+        assert sleeps == []
+
+    def test_unavailable_then_ok_is_retried_once(self, http_server, sleeps,
+                                                 tmp_path):
+        http_server.replies.extend([(503, "busy"), (200, '{"ok": 1}')])
+        transport = self.transport(http_server.endpoint, tmp_path)
+        assert transport.get(EXTRACT_1) == {"ok": 1}
+        assert len(http_server.seen) == 2
+        assert transport.network_requests == 2
+        assert sleeps == [0.5]
+
+    def test_closed_port_is_network_error(self, sleeps, tmp_path):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        endpoint = f"http://127.0.0.1:{port}/w/api.php"
+        transport = self.transport(endpoint, tmp_path)
+        with pytest.raises(NetworkError) as exc:
+            transport.get(EXTRACT_1)
+        assert str(exc.value).startswith(canonical_url(endpoint, EXTRACT_1))
+        assert sleeps == [0.5, 1.0]     # MAX_ATTEMPTS attempts
+        assert transport.network_requests == 0
+        assert not (tmp_path / LOG_NAME).exists()
+
+
 class TestClient:
     def test_search_match(self, wn_pipeline):
         client = client_for(small_wiki(), wn_pipeline)
@@ -678,14 +769,18 @@ class TestClient:
 
 
 class StubTransport:
-    """Gives one reply to every request."""
+    """Gives each of its replies in turn, the last one to every later
+    request; fails a test whose listing sends more than 10 requests."""
     endpoint = ENDPOINT
 
-    def __init__(self, reply):
-        self.reply = reply
+    def __init__(self, *replies):
+        self.replies = replies
+        self.sent = []
 
     def get(self, params):
-        return self.reply
+        self.sent.append(params)
+        assert len(self.sent) <= 10, "the listing does not end"
+        return self.replies[min(len(self.sent), len(self.replies)) - 1]
 
 
 def page(**fields):
@@ -748,6 +843,59 @@ class TestReplyShapes:
         with pytest.raises(ApiError, match=r"^\?action=query&"):
             client_for(wiki).list_category_members(
                 CategoryRef("Category:Rail transport", 900))
+
+    @pytest.mark.parametrize("call, key, ns", [
+        ("categories", "pages", 14), ("members", "categorymembers", 0),
+        ("members", "categorymembers", 14)])
+    def test_first_title_of_a_page_id_is_kept(self, call, key, ns):
+        # page id 7 is listed on both pages of the listing
+        transport = StubTransport(
+            {"query": {key: [page(pageid=7, ns=ns, title="First"),
+                             page(pageid=9, ns=ns, title="Nine")]},
+             "continue": {"continue": "-||"}},
+            {"query": {key: [page(pageid=3, ns=ns, title="Three"),
+                             page(pageid=7, ns=ns, title="Second")]}})
+        got = self.CALLS[call](WikiClient(transport))
+        ref = CategoryRef if ns == 14 else ArticleRef
+        refs = [ref("Three", 3), ref("First", 7), ref("Nine", 9)]
+        assert len(transport.sent) == 2
+        if call == "categories":
+            assert got == refs
+        else:
+            assert got == ((refs, []) if ns == 0 else ([], refs))
+
+    @pytest.mark.parametrize("cont", [{"cmcontinue": "a"},
+                                      {"cmlimit": "500"}])
+    def test_continue_to_a_request_already_sent(self, cont):
+        # {"cmlimit": "500"} leads back to the first request itself
+        transport = StubTransport({"query": {"categorymembers": []},
+                                   "continue": cont})
+        with pytest.raises(ApiError) as exc:
+            self.CALLS["members"](WikiClient(transport))
+        last = transport.sent[-1]
+        assert str(exc.value) == (f"{canonical_url(ENDPOINT, last)}: reply "
+                                  "continues to a request already sent")
+        assert len(transport.sent) == (2 if "cmcontinue" in cont else 1)
+
+    def test_continue_loop_sends_two_network_requests(self, tmp_path):
+        def continues_to_a(url, headers):
+            return 200, json.dumps({"query": {"categorymembers": []},
+                                    "continue": {"cmcontinue": "a"}})
+
+        transport = CachedTransport(ENDPOINT, cache_dir=tmp_path,
+                                    fetcher=continues_to_a,
+                                    request_delay_ms=0)
+        get, gets = transport.get, []
+
+        def at_most_ten_gets(params):   # cache hits send no request
+            gets.append(params)
+            assert len(gets) <= 10, "the listing does not end"
+            return get(params)
+        transport.get = at_most_ten_gets
+        with pytest.raises(ApiError, match="a request already sent"):
+            self.CALLS["members"](WikiClient(transport))
+        assert transport.network_requests == 2
+        assert len(log_urls(tmp_path)) == 2
 
 
 class TestExpand:

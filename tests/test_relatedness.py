@@ -414,16 +414,20 @@ class TestRangeWorkers:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_error_in_second_range_only(self, tmp_path, newline):
+        # the second of two ranges, then the third of three
         path = tmp_path / "v.txt"
-        rows = fixed_width_rows()
-        path.write_text(newline.join(rows) + newline, newline="")
-        with split_into(2):
-            line = first_line_of_range(path, 1) + 5
-            rows[line - 1] = rows[line - 1].replace(".5", ".x")
+        for n in (2, 3):
+            rows = fixed_width_rows()
             path.write_text(newline.join(rows) + newline, newline="")
-            with pytest.raises(MalformedVectorLine, match=f":{line}: "):
-                load_vectors(path, {"w001"})
-            assert_loads_like_reference(path, {"w001"})
+            with split_into(n) as pids:
+                line = first_line_of_range(path, n - 1) + 5
+                rows[line - 1] = rows[line - 1].replace(".5", ".x")
+                path.write_text(newline.join(rows) + newline, newline="")
+                with pytest.raises(MalformedVectorLine, match=f":{line}: "):
+                    load_vectors(path, {"w001"})
+                assert len(pids) == n
+                assert_loads_like_reference(path, {"w001"})
+            assert_reaped(pids)
 
     def test_first_range_error_wins(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -513,7 +517,7 @@ class TestRangeWorkers:
         # first reply is received, so it cannot have replied
         path = tmp_path / "v.txt"
         path.write_text("\n".join(fixed_width_rows()) + "\n")
-        scan, recv = relatedness._scan_range, Connection.recv
+        scan, recv = relatedness._scan, Connection.recv
 
         def second_range_waits(path, start, *args):
             if start:
@@ -523,7 +527,7 @@ class TestRangeWorkers:
         def kill_then_recv(conn):
             os.kill(pids[1], signal.SIGKILL)
             return recv(conn)
-        monkeypatch.setattr(relatedness, "_scan_range", second_range_waits)
+        monkeypatch.setattr(relatedness, "_scan", second_range_waits)
         monkeypatch.setattr(Connection, "recv", kill_then_recv)
         with split_into(2) as pids:
             with pytest.raises(WikiHarvestError, match="worker stopped.*-9"):
